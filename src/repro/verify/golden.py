@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.verify.generate import VerifyCase
 __all__ = [
     "GOLDEN_CASES",
     "GOLDEN_VARIANTS",
+    "GOLDEN_PRECISIONS",
     "DIGEST_DECIMALS",
     "default_golden_dir",
     "state_stats",
@@ -97,6 +98,16 @@ GOLDEN_VARIANTS: dict[str, str] = {
     "_batched": "batched",
 }
 
+#: Reduced-precision policies pinned per variant suffix: each listed
+#: policy adds a ``{case}{suffix}_{precision}.json`` baseline next to the
+#: float64 one, so the float32 and mixed hot paths are held bit-stable
+#: too.  Variants absent here are pinned at float64 only.
+GOLDEN_PRECISIONS: dict[str, tuple[str, ...]] = {
+    "_fused": ("float32", "mixed"),
+    "_inplace": ("float32", "mixed"),
+    "_batched": ("float32", "mixed"),
+}
+
 
 def default_golden_dir() -> str:
     """``tests/golden`` relative to the repository root."""
@@ -105,10 +116,12 @@ def default_golden_dir() -> str:
     return os.path.join(root, "tests", "golden")
 
 
-def _run_case(case: VerifyCase, solver: str = "sequential") -> Simulation:
+def _run_case(
+    case: VerifyCase, solver: str = "sequential", precision: str = "float64"
+) -> Simulation:
     from repro.verify.oracle import _seeded_initial_fluid
 
-    config = case.config(solver)
+    config = replace(case.config(solver), precision=precision)
     sim = Simulation(
         config,
         initial_fluid=_seeded_initial_fluid(config, case.state_seed),
@@ -183,11 +196,16 @@ def state_digest(sim: Simulation, decimals: int = DIGEST_DECIMALS) -> str:
     return fields_digest(sim.fluid, sim.structure, decimals=decimals)
 
 
-def compute_baseline(name: str, case: VerifyCase, solver: str = "sequential") -> dict:
+def compute_baseline(
+    name: str,
+    case: VerifyCase,
+    solver: str = "sequential",
+    precision: str = "float64",
+) -> dict:
     """Run one golden case under ``solver`` and reduce it to its record."""
-    sim = _run_case(case, solver)
+    sim = _run_case(case, solver, precision)
     try:
-        return {
+        record = {
             "name": name,
             "case": case.describe(),
             "solver": solver,
@@ -196,17 +214,24 @@ def compute_baseline(name: str, case: VerifyCase, solver: str = "sequential") ->
             "stats": state_stats(sim),
             "digest": state_digest(sim),
         }
+        if precision != "float64":
+            record["precision"] = precision
+        return record
     finally:
         sim.close()
 
 
-def _baseline_files() -> list[tuple[str, VerifyCase, str, str]]:
-    """Every ``(case name, case, solver, file name)`` baseline on disk."""
-    return [
-        (name, case, solver, f"{name}{suffix}.json")
-        for name, case in GOLDEN_CASES.items()
-        for suffix, solver in GOLDEN_VARIANTS.items()
-    ]
+def _baseline_files() -> list[tuple[str, VerifyCase, str, str, str]]:
+    """Every ``(case name, case, solver, precision, file name)`` baseline."""
+    files = []
+    for name, case in GOLDEN_CASES.items():
+        for suffix, solver in GOLDEN_VARIANTS.items():
+            files.append((name, case, solver, "float64", f"{name}{suffix}.json"))
+            for precision in GOLDEN_PRECISIONS.get(suffix, ()):
+                files.append(
+                    (name, case, solver, precision, f"{name}{suffix}_{precision}.json")
+                )
+    return files
 
 
 def write_baselines(golden_dir: str | os.PathLike | None = None) -> list[str]:
@@ -214,8 +239,8 @@ def write_baselines(golden_dir: str | os.PathLike | None = None) -> list[str]:
     directory = os.fspath(golden_dir or default_golden_dir())
     os.makedirs(directory, exist_ok=True)
     written = []
-    for name, case, solver, filename in _baseline_files():
-        record = compute_baseline(name, case, solver)
+    for name, case, solver, precision, filename in _baseline_files():
+        record = compute_baseline(name, case, solver, precision)
         path = os.path.join(directory, filename)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
@@ -233,8 +258,10 @@ def check_baselines(golden_dir: str | os.PathLike | None = None) -> list[str]:
     """
     directory = os.fspath(golden_dir or default_golden_dir())
     failures: list[str] = []
-    for name, case, solver, filename in _baseline_files():
+    for name, case, solver, precision, filename in _baseline_files():
         label = name if solver == "sequential" else f"{name}[{solver}]"
+        if precision != "float64":
+            label = f"{name}[{solver}, {precision}]"
         path = os.path.join(directory, filename)
         if not os.path.exists(path):
             failures.append(
@@ -244,7 +271,7 @@ def check_baselines(golden_dir: str | os.PathLike | None = None) -> list[str]:
             continue
         with open(path, encoding="utf-8") as fh:
             stored = json.load(fh)
-        current = compute_baseline(name, case, solver)
+        current = compute_baseline(name, case, solver, precision)
         for key, expected in stored["stats"].items():
             got = current["stats"].get(key)
             if got is None:

@@ -13,7 +13,7 @@ from repro.verify import (
     state_digest,
     write_baselines,
 )
-from repro.verify.golden import GOLDEN_VARIANTS
+from repro.verify.golden import GOLDEN_PRECISIONS, GOLDEN_VARIANTS
 
 pytestmark = pytest.mark.verify
 
@@ -35,8 +35,18 @@ class TestCommittedBaselines:
 class TestRegeneration:
     def test_regen_round_trips(self, tmp_path):
         written = write_baselines(tmp_path)
-        assert len(written) == len(GOLDEN_CASES) * len(GOLDEN_VARIANTS)
+        per_case = len(GOLDEN_VARIANTS) + sum(map(len, GOLDEN_PRECISIONS.values()))
+        assert len(written) == len(GOLDEN_CASES) * per_case
         assert check_baselines(tmp_path) == []
+
+    def test_reduced_precision_baselines_are_committed(self):
+        directory = default_golden_dir()
+        for name in GOLDEN_CASES:
+            for suffix, precisions in GOLDEN_PRECISIONS.items():
+                for precision in precisions:
+                    path = os.path.join(directory, f"{name}{suffix}_{precision}.json")
+                    with open(path, encoding="utf-8") as fh:
+                        assert json.load(fh)["precision"] == precision
 
     def test_missing_file_is_a_failure_not_a_skip(self, tmp_path):
         write_baselines(tmp_path)
