@@ -32,7 +32,7 @@ BENCH_INPLACE_GATE_ARGS ?= --scale 8 --steps 3 --warmup 2
 BENCH_PRECISION_BASELINE ?= benchmarks/baselines/BENCH_precision.json
 BENCH_PRECISION_GATE_ARGS ?= --scale 2 --steps 8 --warmup 2
 
-.PHONY: install test test-quick test-faults test-chaos test-service test-verify verify-physics bench bench-fused bench-inplace bench-batch bench-precision bench-tune bench-gate trace-example examples report clean
+.PHONY: install test test-quick test-faults test-chaos test-service test-verify verify-physics bench bench-selftest bench-fused bench-inplace bench-batch bench-precision bench-tune bench-gate trace-example examples report clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -84,6 +84,12 @@ verify-physics:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Self-test of the repo benchmark (bench/, run by `python3 bench/run.py`):
+# checks its workloads still drive the library through the names it
+# reads — BatchedLBMIBSolver.step / .occupancy and the kernel span names.
+bench-selftest:
+	PYTHONPATH=src $(PYTHON) -m pytest bench/ -q
 
 # Sequential-vs-fused hot-path benchmark; writes
 # benchmarks/results/BENCH_fused.json (per-kernel + whole-step wall

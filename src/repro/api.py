@@ -132,7 +132,7 @@ class Simulation:
             restored_phase = int(getattr(initial_fluid, "aa_phase", 0))
             src_df = initial_fluid.df
             if restored_phase and config.solver != "inplace":
-                from repro.core.lbm.inplace import aa_decode
+                from repro.core.lbm.sweep import aa_decode
 
                 src_df = aa_decode(initial_fluid.df)
                 restored_phase = 0
@@ -160,32 +160,17 @@ class Simulation:
         self._distributed = None
         self._batch = None
 
-        if config.solver == "sequential":
-            self._solver = SequentialLBMIBSolver(
-                self._fluid,
-                self._built_structure,
-                delta=self._delta,
-                boundaries=self._boundaries,
-                dt=config.dt,
-                external_force=config.external_force,
-                fault_hook=self._hook_for(self._fluid),
-            )
-        elif config.solver == "fused":
-            from repro.core.fused_solver import FusedLBMIBSolver
+        if config.solver in ("sequential", "fused", "inplace"):
+            # fused and inplace are one pipeline; its lattice scheme
+            # follows the grid built above.
+            from repro.core.pipeline import PipelineLBMIBSolver
 
-            self._solver = FusedLBMIBSolver(
-                self._fluid,
-                self._built_structure,
-                delta=self._delta,
-                boundaries=self._boundaries,
-                dt=config.dt,
-                external_force=config.external_force,
-                fault_hook=self._hook_for(self._fluid),
+            solver_cls = (
+                SequentialLBMIBSolver
+                if config.solver == "sequential"
+                else PipelineLBMIBSolver
             )
-        elif config.solver == "inplace":
-            from repro.core.inplace_solver import InplaceLBMIBSolver
-
-            self._solver = InplaceLBMIBSolver(
+            self._solver = solver_cls(
                 self._fluid,
                 self._built_structure,
                 delta=self._delta,
@@ -493,7 +478,7 @@ class Simulation:
         if self._batch is not None:
             return self._batch.view(0)
         if self._fluid.single_lattice:
-            from repro.core.lbm.inplace import decoded_fluid
+            from repro.core.lbm.sweep import decoded_fluid
 
             # Live grid at phase 0 (the single lattice is natural); a
             # decoded two-lattice copy mid AA-cycle.

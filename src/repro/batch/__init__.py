@@ -7,10 +7,9 @@ batching scheduler that keeps batches full from a submission queue.
 
 * :class:`~repro.batch.fields.BatchedFluidGrid` — batched fluid state
   with live per-slot :class:`~repro.core.lbm.fields.FluidGrid` views;
-* :mod:`~repro.batch.kernels` — batched fused collide+stream and
-  kernel 7, bit-identical per slot to the solo kernels;
-* :class:`~repro.batch.solver.BatchedLBMIBSolver` — the nine-kernel
-  step with the fluid half batched and the IB half per slot;
+* :class:`~repro.batch.solver.BatchedLBMIBSolver` — the step pipeline
+  on a batched grid (fluid half batched, IB half per slot) plus slot
+  management;
 * :class:`~repro.batch.guard.SlotGuard` — per-slot health sentinels
   that eject a failing slot without perturbing its siblings;
 * :class:`~repro.batch.scheduler.BatchScheduler` — compatibility
@@ -20,10 +19,6 @@ batching scheduler that keeps batches full from a submission queue.
 
 from repro.batch.fields import BatchedFluidGrid, BatchSlotView, adopt_state
 from repro.batch.guard import SlotEjection, SlotGuard
-from repro.batch.kernels import (
-    batched_collide_stream,
-    batched_update_velocity_fields,
-)
 from repro.batch.scheduler import (
     TERMINAL_STATUSES,
     BatchJob,
@@ -52,7 +47,5 @@ __all__ = [
     "SlotGuard",
     "TERMINAL_STATUSES",
     "adopt_state",
-    "batched_collide_stream",
-    "batched_update_velocity_fields",
     "compatibility_key",
 ]

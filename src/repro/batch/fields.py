@@ -112,6 +112,9 @@ class BatchedFluidGrid:
     :meth:`load_slot` to install a specific simulation's state.
     """
 
+    #: Batched grids use the two-lattice scheme (``df`` / ``df_new``).
+    single_lattice = False
+
     def __init__(
         self,
         shape: tuple[int, int, int],
@@ -164,14 +167,6 @@ class BatchedFluidGrid:
 
             self._arena = ScratchArena(self.shape, dtype=self.precision.compute)
         return self._arena
-
-    def scratch_scalar(self, name: str) -> np.ndarray:
-        """Reusable ``(B, Nx, Ny, Nz)`` scratch buffer named ``name``."""
-        return self.arena.buffer(name, (self.batch,) + self.shape)
-
-    def scratch_vector(self, name: str) -> np.ndarray:
-        """Reusable ``(B, 3, Nx, Ny, Nz)`` scratch buffer named ``name``."""
-        return self.arena.buffer(name, (self.batch, 3) + self.shape)
 
     # ------------------------------------------------------------------
     # hot-path helpers

@@ -3,9 +3,9 @@
 A batch couples B unrelated simulations to one set of shared arrays —
 which makes *containment* the first robustness property: one slot's NaN
 blow-up, injected fault, or invariant violation must never perturb a
-sibling slot or take down the whole batched sweep.  The batched kernels
-already guarantee slots cannot exchange information (streaming is
-per-slot periodic), so the remaining risk is operational: a sick slot
+sibling slot or take down the whole batched sweep.  The sweep already
+guarantees slots cannot exchange information (streaming is per-slot
+periodic), so the remaining risk is operational: a sick slot
 silently burning steps, or its garbage state reaching results.
 
 :class:`SlotGuard` closes that gap.  Attached to a

@@ -13,10 +13,10 @@ queue, exactly like continuous batching in inference serving — the
 batch never drains to run at partial occupancy while work is waiting.
 
 Determinism: each slot's trajectory is bit-identical to its solo
-sequential run (the batched kernels are operation-for-operation
-mirrors of the solo ones and slots never interact), so results are
-independent of batch composition, admission order and ``max_batch`` —
-a property pinned by the scheduler test suite.
+sequential run (a slot runs the solo sweep code and slots never
+interact), so results are independent of batch composition, admission
+order and ``max_batch`` — a property pinned by the scheduler test
+suite.
 
 Fault tolerance (all opt-in, zero overhead when off):
 

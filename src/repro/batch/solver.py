@@ -1,65 +1,45 @@
 """Batched LBM-IB solver: B simulations per kernel call, per-sim IB.
 
-:class:`BatchedLBMIBSolver` advances every slot of a
-:class:`~repro.batch.fields.BatchedFluidGrid` through the same
-nine-kernel time step as the fused solver, with the fluid half batched
-(one numpy call per operation for all B slots) and the IB half applied
-per slot (each slot owns its own immersed structure — fiber counts and
-positions differ between simulations, so there is nothing to batch).
+:class:`BatchedLBMIBSolver` is the memory-aware step pipeline
+(:class:`~repro.core.pipeline.PipelineLBMIBSolver`) on a
+:class:`~repro.batch.fields.BatchedFluidGrid`: the fluid half advances
+every slot in one numpy call per operation and the IB half runs per slot
+(each slot owns its own immersed structure — fiber counts and positions
+differ between simulations, so there is nothing to batch).  The sweeps
+index the direction axis as ``df[..., i, :, :, :]``, so each slot runs
+exactly the solo fused code and its trajectory is bit-identical to
+running that simulation alone; slots never exchange information
+(streaming is per-slot periodic, so even a NaN cannot cross the batch
+axis).
 
-Step structure (identical physics to
-:class:`~repro.core.fused_solver.FusedLBMIBSolver`, slot by slot):
-
-1. kernels 1-3 per slot with a structure (fiber forces);
-2. kernel 4 per slot (force spread, sharing one delta-stencil
-   evaluation per sheet with this step's interpolation);
-3. kernels 5+6 batched (:func:`~repro.batch.kernels.batched_collide_stream`),
-   with boundary face capture widened to ``(B, ...)`` buffers and the
-   boundary repair applied per slot;
-4. kernel 7 batched (:func:`~repro.batch.kernels.batched_update_velocity_fields`);
-5. kernel 8 per slot (move fibers);
-6. kernel 9 as a batched pointer swap.
-
-Because every batched operation is bit-identical to its solo
-counterpart and the per-slot operations *are* the solo kernels, each
-slot's trajectory is bit-identical to running that simulation alone —
-slots never exchange information (streaming is per-slot periodic, so
-even a NaN cannot cross the batch axis).
-
-Slots carry their own step counters and an ``active`` mask so the
-continuous-batching scheduler can retire a finished or diverged slot
-and refill it mid-run (:meth:`load_slot` / :meth:`clear_slot`).
+This class adds the slot management of continuous batching: per-slot
+step counters and an ``active`` mask, so the scheduler can retire a
+finished or diverged slot and refill it mid-run (:meth:`load_slot` /
+:meth:`clear_slot`), plus the optional per-slot
+:class:`~repro.batch.guard.SlotGuard` inspection after every step.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Callable, Sequence
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.batch.guard import SlotGuard
     from repro.observe.tracer import Tracer
 
+from repro.batch.fields import BatchedFluidGrid
 from repro.constants import DT
-from repro.core import kernels
-from repro.core.ib import motion as _motion
-from repro.core.ib import spreading as _spreading
 from repro.core.ib.delta import DeltaKernel, default_delta
 from repro.core.ib.fiber import ImmersedStructure
-from repro.core.lbm.boundaries import Boundary, face_index, validate_boundaries
+from repro.core.lbm.boundaries import Boundary
 from repro.core.lbm.fields import FluidGrid
-from repro.batch.fields import BatchedFluidGrid
-from repro.batch.kernels import (
-    batched_collide_stream,
-    batched_update_velocity_fields,
-)
+from repro.core.pipeline import PipelineLBMIBSolver
+from repro.core.solver import FIBER_FORCE_KERNELS
 
 __all__ = ["BatchedLBMIBSolver"]
 
 
-class BatchedLBMIBSolver:
+class BatchedLBMIBSolver(PipelineLBMIBSolver):
     """Run B independent LBM-IB simulations through batched kernels.
 
     Parameters
@@ -72,7 +52,7 @@ class BatchedLBMIBSolver:
     delta / boundaries / dt / external_force:
         Shared physics, identical for every slot (the scheduler only
         groups compatible configs into one batch).
-    kernel_timer / tracer / fault_hook:
+    tracer / fault_hook:
         Same observability/fault surface as the solo solvers; the fault
         hook is called once per batched step with thread id 0.
     guard:
@@ -84,6 +64,8 @@ class BatchedLBMIBSolver:
         (see :mod:`repro.batch.guard`).
     """
 
+    collide_stream_span = "batched_collide_stream"
+
     def __init__(
         self,
         grid: BatchedFluidGrid,
@@ -92,25 +74,23 @@ class BatchedLBMIBSolver:
         boundaries: Sequence[Boundary] = (),
         dt: float = DT,
         external_force: tuple[float, float, float] | None = None,
-        kernel_timer: Callable[[str, float], None] | None = None,
         fault_hook: Callable[[int, int], None] | None = None,
         tracer: "Tracer | None" = None,
         guard: "SlotGuard | None" = None,
     ) -> None:
-        self.grid = grid
+        super().__init__(
+            grid,
+            None,
+            delta=delta if delta is not None else default_delta(),
+            boundaries=list(boundaries),
+            dt=dt,
+            external_force=external_force,
+            fault_hook=fault_hook,
+            tracer=tracer,
+        )
         self.guard = guard
-        self.delta = delta if delta is not None else default_delta()
-        self.boundaries = list(boundaries)
-        validate_boundaries(self.boundaries)
-        self.dt = dt
-        self.external_force = external_force
-        self.kernel_timer = kernel_timer
-        self.fault_hook = fault_hook
-        self.tracer = tracer
-        self.time_step = 0
-
         b = grid.batch
-        self.structures: list[ImmersedStructure | None] = list(structures)
+        self.structures = list(structures)
         if len(self.structures) > b:
             raise ValueError(
                 f"{len(self.structures)} structures for a batch of {b} slots"
@@ -122,58 +102,10 @@ class BatchedLBMIBSolver:
         #: Slots currently carrying a live simulation.
         self.active = [True] * b
 
-        self._stencil_cache = _spreading.StencilCache()
-        self._ext: np.ndarray | None = None
-        if external_force is not None:
-            self._ext = np.asarray(external_force, dtype=grid.force.dtype).reshape(
-                3, 1, 1, 1
-            )
-            self.grid.force[...] = self._ext
-        self._build_capture_plan()
-
-    # ------------------------------------------------------------------
-    def _build_capture_plan(self) -> None:
-        """Preallocate ``(B, ...)`` face buffers for df_post-reading BCs."""
-        shape = self.grid.shape
-        b = self.grid.batch
-        face_dtype = self.grid.df.dtype
-        plan: dict[int, list[tuple[tuple, np.ndarray]]] = {}
-        # (boundary, per-slot {direction: face layer} dicts) in apply order
-        self._fused_boundaries: list[
-            tuple[Boundary, list[dict[int, np.ndarray]]]
-        ] = []
-        for boundary in self.boundaries:
-            slot_faces: list[dict[int, np.ndarray]] = [{} for _ in range(b)]
-            deps = boundary.post_dependencies()
-            if deps:
-                idx = face_index(boundary.axis, boundary.side, shape)
-                face_shape = self.grid.df[0, 0][idx].shape
-                for direction in deps:
-                    buf = np.empty((b,) + face_shape, dtype=face_dtype)
-                    for slot in range(b):
-                        slot_faces[slot][int(direction)] = buf[slot]
-                    plan.setdefault(int(direction), []).append((idx, buf))
-            self._fused_boundaries.append((boundary, slot_faces))
-        self._capture_plan = plan
-        self._capture = self._capture_faces if plan else None
-
-    def _capture_faces(self, direction: int, post: np.ndarray) -> None:
-        for idx, buf in self._capture_plan.get(direction, ()):
-            buf[...] = post[(slice(None),) + idx]
-
-    # ------------------------------------------------------------------
-    def _timed(self, name: str, fn: Callable[[], None]) -> None:
-        tracer = self.tracer
-        if tracer is None and self.kernel_timer is None:
-            fn()
-            return
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        if self.kernel_timer is not None:
-            self.kernel_timer(name, elapsed)
-        if tracer is not None:
-            tracer.record(name, 0, start, elapsed, step=self.time_step)
+    @property
+    def grid(self) -> BatchedFluidGrid:
+        """The batched fluid state (the pipeline's ``fluid``)."""
+        return self.fluid
 
     # ------------------------------------------------------------------
     # slot management (continuous batching)
@@ -232,92 +164,25 @@ class BatchedLBMIBSolver:
     # stepping
     # ------------------------------------------------------------------
     def _fiber_forces(self) -> None:
-        for structure in self.structures:
-            if structure is None:
-                continue
-            kernels.compute_bending_force_in_fibers(structure)
-            kernels.compute_stretching_force_in_fibers(structure)
-            kernels.compute_elastic_force_in_fibers(structure)
+        """Kernels 1-3 for every slot, as one span."""
 
-    def _spread_forces(self) -> None:
-        for slot, structure in enumerate(self.structures):
-            if structure is None:
-                continue
-            force = self.grid.force[slot]
-            for sheet in structure.sheets:
-                _spreading.spread_forces(
-                    sheet, self.delta, force, cache=self._stencil_cache
-                )
+        def forces() -> None:
+            for structure, _, _ in self._ib_slots():
+                for _, kernel in FIBER_FORCE_KERNELS:
+                    kernel(structure)
 
-    def _collide_stream_boundaries(self) -> None:
-        batched_collide_stream(self.grid, capture=self._capture)
-        df_new = self.grid.df_new
-        for boundary, slot_faces in self._fused_boundaries:
-            for slot in range(self.grid.batch):
-                boundary.apply_fused(slot_faces[slot], df_new[slot])
-
-    def _move_fibers(self) -> None:
-        for slot, structure in enumerate(self.structures):
-            if structure is None:
-                continue
-            velocity = self.grid.velocity[slot]
-            for sheet in structure.sheets:
-                _motion.move_fibers(
-                    sheet,
-                    self.delta,
-                    velocity,
-                    dt=self.dt,
-                    cache=self._stencil_cache,
-                )
+        self._timed("compute_fiber_forces", forces)
 
     def step(self) -> None:
         """Advance every active slot by one time step."""
-        if self.fault_hook is not None:
-            self.fault_hook(0, self.time_step)
-        any_structure = any(s is not None for s in self.structures)
-
-        # --- IB related (kernels 1-4, per slot) ---
-        if any_structure:
-            self._timed("compute_fiber_forces", self._fiber_forces)
-            self._stencil_cache.begin_step()
-            self._timed("spread_force_from_fibers_to_fluid", self._spread_forces)
-
-        # --- LBM related: kernels 5 + 6 batched ---
-        self._timed("batched_collide_stream", self._collide_stream_boundaries)
-
-        # --- FSI coupling related ---
-        self._timed(
-            "update_fluid_velocity",
-            lambda: batched_update_velocity_fields(self.grid),
-        )
-        if any_structure:
-            self._timed("move_fibers", self._move_fibers)
-            self._stencil_cache.end_step()
-        self._timed("swap_distributions", self.grid.swap_distributions)
-
-        if self._ext is None:
-            self.grid.force[...] = 0.0
-        else:
-            self.grid.force[...] = self._ext
-
-        self.time_step += 1
+        super().step()
         for slot in range(self.grid.batch):
             if self.active[slot]:
                 self.slot_steps[slot] += 1
         if self.guard is not None:
             self._timed("slot_guard", lambda: self.guard.inspect(self))
 
-    def run(self, num_steps: int, observer=None) -> None:
-        """Run ``num_steps`` batched time steps."""
-        if num_steps < 0:
-            raise ValueError(f"num_steps must be non-negative, got {num_steps}")
-        for _ in range(num_steps):
-            self.step()
-            if observer is not None:
-                observer(self.time_step, self)
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, np.ndarray]:
+    def snapshot(self) -> dict:
         """Diagnostic snapshot of slot 0 (solo-solver interface parity)."""
         structure = self.structures[0]
         return {

@@ -25,13 +25,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.constants import DT
+from repro.constants import DT, Q
+from repro.core.backend import lattice_constants
 from repro.core.lbm import macroscopic
 from repro.core.lbm.fields import FluidGrid
+from repro.core.lbm.lattice import SLAB
 
 __all__ = [
     "update_velocity_fields",
     "update_velocity_fields_inplace",
+    "split_velocities",
     "shifted_velocities",
 ]
 
@@ -90,32 +93,50 @@ def update_velocity_fields(fluid: FluidGrid) -> None:
 
 
 def update_velocity_fields_inplace(
-    fluid: FluidGrid, momentum: np.ndarray, df: np.ndarray | None = None
+    fluid, momentum: np.ndarray, df: np.ndarray | None = None
 ) -> None:
-    """Allocation-free kernel 7 used by the fused and in-place solvers.
+    """Allocation-free kernel 7 of the memory-aware step pipeline.
 
     Numerically identical to :func:`update_velocity_fields` (the force
     term is added to the momentum instead of the other way round —
     floating-point addition commutes bit-exactly), but every temporary
-    lands in a caller-supplied or grid-owned buffer:
+    lands in a caller-supplied or grid-owned buffer.  Batch-polymorphic:
+    a batched grid's ``(B, 19, ...)`` lattice reduces over the same
+    direction axis and runs the momentum GEMM as one stacked ``matmul``
+    (one GEMM per slot).
 
     Parameters
     ----------
     momentum:
-        Scratch buffer ``(3, Nx, Ny, Nz)`` receiving ``sum_i e_i f_i``
-        (typically ``fluid.arena.vector("momentum")``).
+        Scratch buffer shaped like ``fluid.velocity`` receiving
+        ``sum_i e_i f_i``.
     df:
         Distribution buffer to take moments of.  Defaults to
-        ``fluid.df_new`` (the fused solver's post-streaming buffer);
-        the single-lattice in-place solver passes ``fluid.df`` after an
-        odd step, when the freshly streamed state lives there.
+        ``fluid.df_new`` (the two-lattice post-streaming buffer); the
+        single-lattice scheme passes ``fluid.df`` after an odd step,
+        when the freshly streamed state lives there.
     """
     if df is None:
         df = fluid.df_new
-    macroscopic.compute_density(df, out=fluid.density, dtype=fluid.precision.compute)
-    macroscopic.compute_momentum_density(df, out=momentum)
-    rho = fluid.density
+    np.sum(df, axis=-4, out=fluid.density, dtype=fluid.precision.compute)
+    # Lattice vectors at the GEMM's natural dtype: float64 is the
+    # original table, pure float32 gets a float32 GEMM, and mixed
+    # promotes to a float64 reduction.
+    e_float, _ = lattice_constants(np.result_type(df.dtype, momentum.dtype))
+    lead = df.shape[:-4]
+    np.matmul(
+        e_float.T, df.reshape(lead + (Q, -1)), out=momentum.reshape(lead + (3, -1))
+    )
+    split_velocities(fluid, momentum)
 
+
+def split_velocities(fluid, momentum: np.ndarray) -> None:
+    """Kernel 7's forcing split of ``momentum`` by ``fluid.density``.
+
+    Writes the collision velocity ``u* = (m + tau_odd F dt) / rho`` and
+    the physical velocity ``u = (m + F dt / 2) / rho``.
+    """
+    rho = fluid.density
     shifted = fluid.velocity_shifted
     np.multiply(fluid.force, fluid.tau_odd * DT, out=shifted)
     shifted += momentum
@@ -128,5 +149,5 @@ def update_velocity_fields_inplace(
     # divisor falls back to numpy's buffered inner loop and allocates;
     # the same-shape form doesn't (and is elementwise identical).
     for comp in range(3):
-        shifted[comp] /= rho
-        velocity[comp] /= rho
+        shifted[SLAB[comp]] /= rho
+        velocity[SLAB[comp]] /= rho

@@ -111,7 +111,7 @@ class Boundary:
     ) -> None:
         """Repair an *AA-encoded* lattice after an even in-place step.
 
-        After :func:`repro.core.lbm.inplace.aa_even_collide_swap` the
+        After :func:`repro.core.lbm.sweep.aa_even_collide_swap` the
         streaming is deferred: the virtual post-streaming value
         ``f_i(x, t+1)`` lives at storage location
         ``df[opp(i)](x - e_i)`` (periodic wrap).  A repair that the

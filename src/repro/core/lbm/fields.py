@@ -77,7 +77,7 @@ class FluidGrid:
     trt_magic: float = 3.0 / 16.0
     #: ``True`` allocates only ``df`` (``df_new`` is ``None``): the
     #: storage layout of the in-place AA-pattern solver
-    #: (:mod:`repro.core.lbm.inplace`), which streams within a single
+    #: (:mod:`repro.core.lbm.sweep`), which streams within a single
     #: lattice and never needs the second buffer.
     single_lattice: bool = False
     #: Precision policy: a name from :data:`repro.core.backend.PRECISIONS`

@@ -26,6 +26,7 @@ __all__ = [
     "E_FLOAT",
     "W",
     "OPPOSITE",
+    "SLAB",
     "AXIS_DIRECTIONS",
     "DIAGONAL_DIRECTIONS",
     "REST_DIRECTION",
@@ -93,6 +94,14 @@ def _build_opposite() -> np.ndarray:
 
 #: ``OPPOSITE[i]`` is the direction with velocity ``-E[i]``.
 OPPOSITE: np.ndarray = _build_opposite()
+
+#: ``a[SLAB[i]]`` is ``a[..., i, :, :, :]``: direction ``i`` of a lattice
+#: or component ``i`` of a vector field, with or without leading batch
+#: axes.  Built once — a literal ``a[..., i, :, :, :]`` rebuilds the key
+#: tuple on every call of a hot loop.
+SLAB: tuple[tuple, ...] = tuple(
+    (Ellipsis, i, slice(None), slice(None), slice(None)) for i in range(Q)
+)
 
 
 def direction_index(vector) -> int:

@@ -22,8 +22,10 @@ __all__ = [
     "periodic_shift_table",
 ]
 
-#: Slice pair ``(dst, src)`` realizing one contiguous block of a shift.
-_BlockPair = tuple[tuple[slice, slice, slice], tuple[slice, slice, slice]]
+#: Key pair ``(dst, src)`` realizing one contiguous block of a shift:
+#: ``(..., x_slice, y_slice, z_slice)``, so one table serves a direction
+#: slab with or without leading (batch) axes.
+_BlockPair = tuple[tuple, tuple]
 
 #: grid shape -> per-direction tuple of (dst, src) block pairs.  A cyclic
 #: shift by ``E[i]`` decomposes into at most 8 contiguous block copies
@@ -49,10 +51,12 @@ def periodic_shift_table(
 ) -> tuple[tuple[_BlockPair, ...], ...]:
     """Per-direction block-copy plans for a periodic push-stream.
 
-    Entry ``i`` is a tuple of ``(dst, src)`` 3-tuple-of-slice pairs such
-    that ``out[dst] = field[src]`` over all pairs realizes the cyclic
-    shift of ``field`` by ``E[i]``.  Tables are cached per grid shape
-    for the lifetime of the process (they are tiny and immutable).
+    Entry ``i`` is a tuple of ``(dst, src)`` key pairs such that
+    ``out[dst] = field[src]`` over all pairs realizes the cyclic shift
+    of ``field`` by ``E[i]``.  Keys are ``(..., sx, sy, sz)`` so they
+    index the last three axes of a slab with any leading axes.  Tables
+    are cached per grid shape for the lifetime of the process (they are
+    tiny and immutable).
     """
     key = tuple(int(n) for n in grid_shape)
     table = _SHIFT_TABLE_CACHE.get(key)
@@ -61,7 +65,7 @@ def periodic_shift_table(
         for i in range(Q):
             pieces = [_axis_pieces(key[a], int(E[i, a])) for a in range(3)]
             pairs = tuple(
-                ((px[0], py[0], pz[0]), (px[1], py[1], pz[1]))
+                ((Ellipsis, px[0], py[0], pz[0]), (Ellipsis, px[1], py[1], pz[1]))
                 for px in pieces[0]
                 for py in pieces[1]
                 for pz in pieces[2]
@@ -72,14 +76,18 @@ def periodic_shift_table(
     return table
 
 
-def stream_direction(field: np.ndarray, direction: int, out: np.ndarray) -> None:
+def stream_direction(
+    field: np.ndarray, direction: int, out: np.ndarray, table=None
+) -> None:
     """Push-stream one direction's field by its lattice velocity.
 
     ``out[x + e] = field[x]`` with periodic wrap, i.e. a cyclic shift of
     ``field`` by ``E[direction]``, realized as direct block copies into
-    ``out`` (no intermediate array).
+    ``out`` (no intermediate array).  ``field`` may carry leading batch
+    axes; hot loops pass the grid's ``table`` to skip the cache lookup.
     """
-    table = periodic_shift_table(field.shape)
+    if table is None:
+        table = periodic_shift_table(field.shape[-3:])
     for dst, src in table[direction]:
         out[dst] = field[src]
 
@@ -100,8 +108,7 @@ def stream(df_post: np.ndarray, out: np.ndarray) -> np.ndarray:
         )
     table = periodic_shift_table(df_post.shape[1:])
     for i in range(Q):
-        for dst, src in table[i]:
-            out[(i,) + dst] = df_post[(i,) + src]
+        stream_direction(df_post[i], i, out[i], table)
     return out
 
 

@@ -2,8 +2,9 @@
 
 :class:`SequentialLBMIBSolver` creates/accepts an immersed structure and
 a 3D fluid grid, then executes the nine computational kernels repeatedly
-to simulate each time step.  Optional per-kernel timing hooks feed the
-gprof-style profiler used to regenerate paper Table I.
+to simulate each time step.  An optional tracer records one span per
+kernel per step; :meth:`repro.observe.tracer.Tracer.flat_profile` turns
+those spans into the gprof-style profile of paper Table I.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from repro.core.ib.fiber import ImmersedStructure
 from repro.core.lbm.boundaries import Boundary, validate_boundaries
 from repro.core.lbm.fields import FluidGrid
 
-__all__ = ["SequentialLBMIBSolver", "StepObserver"]
+__all__ = ["SequentialLBMIBSolver", "StepObserver", "FIBER_FORCE_KERNELS"]
+
+#: Kernels 1-3 in Algorithm-1 order, as ``(span name, kernel)`` pairs.
+FIBER_FORCE_KERNELS = (
+    ("compute_bending_force_in_fibers", kernels.compute_bending_force_in_fibers),
+    ("compute_stretching_force_in_fibers", kernels.compute_stretching_force_in_fibers),
+    ("compute_elastic_force_in_fibers", kernels.compute_elastic_force_in_fibers),
+)
 
 #: Signature of a per-step observer: ``observer(step_index, solver)``.
 StepObserver = Callable[[int, "SequentialLBMIBSolver"], None]
@@ -47,9 +55,6 @@ class SequentialLBMIBSolver:
         means fully periodic.
     dt:
         Time step (1 in lattice units).
-    kernel_timer:
-        Optional callable ``timer(kernel_name, seconds)`` invoked after
-        every kernel (used by :mod:`repro.profiling.gprof`).
     check_stability_every:
         Validate fields for NaN/Inf every this many steps (0 disables).
     external_force:
@@ -72,7 +77,6 @@ class SequentialLBMIBSolver:
     delta: DeltaKernel = field(default_factory=default_delta)
     boundaries: Sequence[Boundary] = field(default_factory=list)
     dt: float = DT
-    kernel_timer: Callable[[str, float], None] | None = None
     check_stability_every: int = 0
     external_force: tuple[float, float, float] | None = None
     fault_hook: Callable[[int, int], None] | None = None
@@ -81,26 +85,24 @@ class SequentialLBMIBSolver:
 
     def __post_init__(self) -> None:
         validate_boundaries(list(self.boundaries))
+        self._ext: np.ndarray | None = None
         if self.external_force is not None:
-            self._seed_external_force()
-
-    def _seed_external_force(self) -> None:
-        f = np.asarray(self.external_force, dtype=self.fluid.force.dtype)
-        self.fluid.force[...] = f[:, None, None, None]
+            self._ext = np.asarray(
+                self.external_force, dtype=self.fluid.force.dtype
+            ).reshape(3, 1, 1, 1)
+            self.fluid.force[...] = self._ext
 
     # ------------------------------------------------------------------
     def _timed(self, name: str, fn: Callable[[], None]) -> None:
         tracer = self.tracer
-        if tracer is None and self.kernel_timer is None:
+        if tracer is None:
             fn()
             return
         start = time.perf_counter()
         fn()
-        elapsed = time.perf_counter() - start
-        if self.kernel_timer is not None:
-            self.kernel_timer(name, elapsed)
-        if tracer is not None:
-            tracer.record(name, 0, start, elapsed, step=self.time_step)
+        tracer.record(
+            name, 0, start, time.perf_counter() - start, step=self.time_step
+        )
 
     def _apply_boundaries(self) -> None:
         for boundary in self.boundaries:
@@ -115,18 +117,8 @@ class SequentialLBMIBSolver:
 
         # --- IB related ---
         if structure is not None:
-            self._timed(
-                "compute_bending_force_in_fibers",
-                lambda: kernels.compute_bending_force_in_fibers(structure),
-            )
-            self._timed(
-                "compute_stretching_force_in_fibers",
-                lambda: kernels.compute_stretching_force_in_fibers(structure),
-            )
-            self._timed(
-                "compute_elastic_force_in_fibers",
-                lambda: kernels.compute_elastic_force_in_fibers(structure),
-            )
+            for name, kernel in FIBER_FORCE_KERNELS:
+                self._timed(name, lambda: kernel(structure))
             # reset=False: the force field already holds exactly the
             # external body force (re-seeded at the end of every step).
             self._timed(
@@ -163,25 +155,25 @@ class SequentialLBMIBSolver:
             "copy_fluid_velocity_distribution",
             lambda: kernels.copy_fluid_velocity_distribution(fluid),
         )
+        self._end_step()
+
+    def _end_step(self) -> None:
+        """Reseed the force field, count the step, check stability."""
         # The spread force has served kernels 5-8; reset it here so every
         # solver variant (sequential, OpenMP, cube) leaves the same
         # post-step state: the force field holds only the constant
         # external body force (if any) between steps.
-        if self.external_force is None:
-            fluid.force[...] = 0.0
-        else:
-            self._seed_external_force()
-
+        self.fluid.force[...] = 0.0 if self._ext is None else self._ext
         self.time_step += 1
         if (
             self.check_stability_every
             and self.time_step % self.check_stability_every == 0
         ):
-            fluid.validate_stable()
-            if structure is not None:
+            self.fluid.validate_stable()
+            if self.structure is not None:
                 from repro.errors import StabilityError
 
-                for sheet in structure.sheets:
+                for sheet in self.structure.sheets:
                     if not np.isfinite(sheet.positions).all():
                         raise StabilityError(
                             "fiber positions contain non-finite values; the "

@@ -67,7 +67,7 @@ def _measure_batch(
     advance ``warmup + steps`` steps; only the last ``steps`` are timed.
     The returned ``max_abs_delta`` is the largest element difference
     between any batched slot and its solo run at the end — exactly 0.0,
-    because the batched kernels are bit-identical to the solo ones.
+    because a batched slot runs the solo sweep code.
     """
     fluids = [_seeded_initial_fluid(config, seed) for seed in range(batch)]
 

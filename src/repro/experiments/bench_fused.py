@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
 
 from repro.api import Simulation
 from repro.config import StructureConfig
+from repro.observe import Telemetry
 from repro.experiments.workloads import scaled_profiling_config
 
 __all__ = ["run_bench_fused", "render_bench_fused"]
@@ -53,20 +53,19 @@ def _measure_variant(
     if fluid_only:
         config = replace(config, structure=StructureConfig(kind="none"))
     sim = Simulation(config)
-    per_kernel: dict[str, float] = defaultdict(float)
     try:
         sim.run(warmup)
 
-        sim.solver.kernel_timer = lambda name, sec: per_kernel.__setitem__(
-            name, per_kernel[name] + sec
-        )
+        telemetry = Telemetry()
+        sim.attach_telemetry(telemetry)
         start = time.perf_counter()
         sim.run(steps)
         wall = time.perf_counter() - start
+        per_kernel = telemetry.tracer.flat_profile().seconds
 
-        # Separate allocation pass so tracemalloc's overhead cannot
-        # pollute the timing above.
-        sim.solver.kernel_timer = None
+        # Separate, untraced allocation pass so neither tracemalloc's
+        # overhead nor span records pollute the measurements.
+        sim.solver.tracer = None
         tracemalloc.start()
         tracemalloc.reset_peak()
         sim.run(steps)

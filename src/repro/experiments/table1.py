@@ -2,9 +2,9 @@
 
 Reproduces the paper's gprof analysis two ways:
 
-1. **Measured** — run our sequential solver with the
-   :class:`~repro.profiling.FlatProfile` timer on a scaled-down version
-   of the paper's input and report each kernel's share of total time.
+1. **Measured** — trace our sequential solver's kernels on a
+   scaled-down version of the paper's input and report each kernel's
+   share of total time (:meth:`repro.observe.tracer.Tracer.flat_profile`).
 2. **Modelled** — the machine model's per-kernel breakdown for the
    paper-sized input (124 x 64 x 64 grid, 52 x 52 fibers, 2.9 GHz),
    whose absolute scale reproduces the paper's 967 s / 500 steps.
@@ -20,7 +20,7 @@ from repro.api import Simulation
 from repro.experiments.workloads import PROFILING_WORKLOAD, scaled_profiling_config
 from repro.machine import PerformanceModel, abu_dhabi
 from repro.machine.workload import PAPER_TABLE1_PERCENTAGES
-from repro.profiling.gprof import FlatProfile
+from repro.observe import Telemetry
 from repro.profiling.report import render_table
 
 __all__ = ["Table1Row", "run_table1", "render_table1"]
@@ -67,10 +67,10 @@ def run_table1(scale: int = 4, num_steps: int = 10) -> tuple[list[Table1Row], di
 
     # measured breakdown at reduced scale
     config = scaled_profiling_config(scale=scale)
-    profile = FlatProfile()
-    with Simulation(config) as sim:
-        sim.solver.kernel_timer = profile
+    telemetry = Telemetry()
+    with Simulation(config, telemetry=telemetry) as sim:
         sim.run(num_steps)
+    profile = telemetry.tracer.flat_profile()
     measured_pct = profile.percentages()
 
     rows = []

@@ -1,11 +1,10 @@
 """Every batch slot is bit-identical to its solo sequential run.
 
-The batched kernels are operation-for-operation mirrors of the solo
-ones (elementwise ufuncs, the direction-axis reduction and the stacked
-matmul are all bit-identical across the extra batch axis), so batching
-is a pure throughput transformation: ``np.array_equal``, not a
-tolerance, is the assertion here — the same standard the fused variant
-is held to.
+A batched slot runs the solo sweep and kernel-7 code (elementwise
+ufuncs, the direction-axis reduction and the stacked matmul are all
+bit-identical across the extra batch axis), so batching is a pure
+throughput transformation: ``np.array_equal``, not a tolerance, is the
+assertion here — the same standard the fused variant is held to.
 """
 
 import numpy as np

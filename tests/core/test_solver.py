@@ -129,13 +129,18 @@ class TestDiagnostics:
         snap["velocity"][...] = 99
         assert not (grid.velocity == 99).any()
 
-    def test_kernel_timer_sees_all_nine_kernels(self):
-        grid, structure = _setup()
-        seen = {}
-        solver = SequentialLBMIBSolver(
-            grid, structure, kernel_timer=lambda k, t: seen.setdefault(k, 0)
-        )
-        solver.run(1)
+    def test_tracer_sees_all_nine_kernels(self):
+        from repro.api import Simulation, SimulationConfig, StructureConfig
         from repro.core.kernels import KERNEL_NAMES
+        from repro.observe import Telemetry
 
-        assert set(seen) == set(KERNEL_NAMES)
+        sim = Simulation(
+            SimulationConfig(
+                fluid_shape=(12, 10, 8),
+                structure=StructureConfig(num_fibers=4, nodes_per_fiber=4),
+            )
+        )
+        telemetry = Telemetry()
+        sim.attach_telemetry(telemetry)
+        sim.run(1)
+        assert set(telemetry.tracer.flat_profile().seconds) == set(KERNEL_NAMES)

@@ -49,14 +49,20 @@ class TestFlatProfile:
         assert p.total_seconds == 0
 
     def test_integrates_with_solver(self):
-        from repro.core.ib import geometry
-        from repro.core.lbm.fields import FluidGrid
-        from repro.core.solver import SequentialLBMIBSolver
+        from repro.api import Simulation, SimulationConfig, StructureConfig
+        from repro.observe import Telemetry
 
-        grid = FluidGrid((8, 8, 8), tau=0.8)
-        structure = geometry.flat_sheet((8, 8, 8), num_fibers=3, nodes_per_fiber=3)
-        profile = FlatProfile()
-        SequentialLBMIBSolver(grid, structure, kernel_timer=profile).run(3)
+        sim = Simulation(
+            SimulationConfig(
+                fluid_shape=(8, 8, 8),
+                tau=0.8,
+                structure=StructureConfig(num_fibers=3, nodes_per_fiber=3),
+            )
+        )
+        telemetry = Telemetry()
+        sim.attach_telemetry(telemetry)
+        sim.run(3)
+        profile = telemetry.tracer.flat_profile()
         assert len(profile.seconds) == 9
         assert all(c == 3 for c in profile.calls.values())
         assert abs(sum(profile.percentages().values()) - 100.0) < 1e-9

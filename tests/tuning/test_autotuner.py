@@ -1,6 +1,7 @@
 """Tests of the full predict -> probe -> cache autotuner loop."""
 
 import math
+import statistics
 
 import pytest
 
@@ -63,10 +64,13 @@ class TestTuneLoop:
     def test_model_scale_recalibrates_toward_measurement(self):
         report = _tuner().tune(CFG)
         d = report.decision
-        # predicted ~100ms-scale (paper-calibrated C), measured ~ms-scale
-        # (NumPy on a tiny grid): the stored scale must shrink the model
-        # toward reality.
-        assert 0 < d.model_scale < 1
+        # From the neutral prior scale 1.0, the stored scale is the median
+        # measured/predicted ratio of the probes, so the recalibrated model
+        # predicts the median probe exactly.  Whether that shrinks or grows
+        # the model depends on the host's speed, not on the tuner.
+        ratios = [p["measured"] / p["predicted"] for p in d.probes]
+        assert d.model_scale > 0
+        assert d.model_scale == pytest.approx(statistics.median(ratios))
 
     def test_variant_restriction_respected(self):
         report = _tuner().tune(CFG, variants=("fused",))
