@@ -106,6 +106,18 @@ def test_grid_storage_and_arena_compute_dtypes(precision):
         arr = getattr(grid, name)
         assert arr.dtype == policy.storage, name
     assert grid.arena.scalar("probe").dtype == policy.compute
+    # Lattice bytes follow the storage dtype on both lattice schemes:
+    # float64 holds exactly twice float32's, mixed exactly as much.
+    for single in (False, True):
+        lattices = [
+            FluidGrid((4, 4, 4), single_lattice=single, precision=p)
+            for p in ("float32", precision)
+        ]
+        ref, got = (
+            sum(buf.nbytes for buf in (g.df, g.df_new) if buf is not None)
+            for g in lattices
+        )
+        assert got == ref * policy.storage.itemsize // 4
 
 
 # ----------------------------------------------------------------------
