@@ -2,37 +2,7 @@
 
 PYTHON ?= python
 
-# bench-gate knobs: the candidate must be produced with the same
-# workload as the checked-in baseline (identity keys are compared
-# exactly), the tolerance is generous because the smoke workload is
-# tiny, and only the stable headline keys are gated by default
-# (aggregate step times, deterministic allocation bytes, speedups —
-# individual sub-millisecond kernel timings are pure scheduler noise).
-BENCH_GATE_BASELINE ?= benchmarks/baselines/BENCH_fused.json
-BENCH_GATE_ARGS ?= --scale 8 --steps 3 --warmup 2 --scatter-repeats 2
-BENCH_GATE_TOL ?= 0.75
-BENCH_GATE_KEYS ?= '*.step_seconds' '*alloc*_bytes' '*speedup*' '*_per_second'
-
-# batched-execution benchmark gate: same pattern as the fused gate —
-# the checked-in baseline pins the smoke workload, and the candidate
-# must be produced with identical arguments.
-BENCH_BATCH_BASELINE ?= benchmarks/baselines/BENCH_batch.json
-BENCH_BATCH_GATE_ARGS ?= --steps 6 --warmup 2 --batch-sizes 1 4 16
-
-# in-place AA-pattern benchmark gate: the lattice footprint ratio is
-# structural (2.0) and the timing keys follow the fused-gate tolerance.
-BENCH_INPLACE_BASELINE ?= benchmarks/baselines/BENCH_inplace.json
-BENCH_INPLACE_GATE_ARGS ?= --scale 8 --steps 3 --warmup 2
-
-# precision-policy benchmark gate: gated at the full Table-I grid
-# (scale 2) rather than a smoke grid — the float32 speedup is a
-# memory-bandwidth effect that a dispatch-dominated tiny grid cannot
-# show, so the checked-in baseline itself carries the >= 1.3x
-# float32-fused acceptance number.
-BENCH_PRECISION_BASELINE ?= benchmarks/baselines/BENCH_precision.json
-BENCH_PRECISION_GATE_ARGS ?= --scale 2 --steps 8 --warmup 2
-
-.PHONY: install test test-quick test-faults test-chaos test-service test-verify verify-physics bench bench-selftest bench-fused bench-inplace bench-batch bench-precision bench-tune bench-gate trace-example examples report clean
+.PHONY: install test test-quick test-faults test-chaos test-service test-verify verify-physics bench bench-selftest bench-compare bench-tune trace-example examples report clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -91,35 +61,6 @@ bench:
 bench-selftest:
 	PYTHONPATH=src $(PYTHON) -m pytest bench/ -q
 
-# Sequential-vs-fused hot-path benchmark; writes
-# benchmarks/results/BENCH_fused.json (per-kernel + whole-step wall
-# time and tracemalloc allocation profile).  Override the run size with
-# e.g. BENCH_FUSED_ARGS="--scale 8 --steps 3".
-bench-fused:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_fused_kernels.py $(BENCH_FUSED_ARGS)
-
-# Single-lattice AA-pattern benchmark (variant='inplace' vs fused);
-# writes benchmarks/results/BENCH_inplace.json (whole-step wall time,
-# allocation profile, and the fused/inplace lattice footprint ratio).
-# Override the run size with e.g. BENCH_INPLACE_ARGS="--scale 8".
-bench-inplace:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_inplace.py $(BENCH_INPLACE_ARGS)
-
-# Batched multi-simulation benchmark (solo loop vs vectorized batch,
-# plus the continuous-batching scheduler); writes
-# benchmarks/results/BENCH_batch.json.  Override the run size with e.g.
-# BENCH_BATCH_ARGS="--steps 10 --batch-sizes 1 8".
-bench-batch:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_batch_throughput.py $(BENCH_BATCH_ARGS)
-
-# Precision-policy benchmark (float32/mixed storage vs float64 on the
-# fused and in-place hot paths); writes
-# benchmarks/results/BENCH_precision.json.  Non-gating smoke — the
-# regression gate lives in bench-gate.  Override the run size with
-# e.g. BENCH_PRECISION_ARGS="--scale 4 --steps 4".
-bench-precision:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_precision.py $(BENCH_PRECISION_ARGS)
-
 # Workload-adaptive autotuner benchmark (model-guided ranking, measured
 # top-N probe, decision cache) against an exhaustive candidate sweep;
 # writes benchmarks/results/BENCH_tune.json and asserts the acceptance
@@ -129,31 +70,29 @@ bench-precision:
 bench-tune:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_tune.py $(BENCH_TUNE_ARGS)
 
-# Benchmark-regression gate: re-run the fused and batched benchmarks at
-# each baseline's smoke workload and diff them against the checked-in
-# records.  Exit 1 = a gated key regressed beyond BENCH_GATE_TOL; exit
-# 2 = the two records describe different workloads (regenerate with
-# `make bench-fused BENCH_FUSED_ARGS="$(BENCH_GATE_ARGS)"` /
-# `make bench-batch BENCH_BATCH_ARGS="$(BENCH_BATCH_GATE_ARGS)"` and
-# copy the results into benchmarks/baselines/ after an intentional
-# change).
-bench-gate:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_fused_kernels.py $(BENCH_GATE_ARGS)
-	PYTHONPATH=src $(PYTHON) -m repro.observe compare \
-		$(BENCH_GATE_BASELINE) benchmarks/results/BENCH_fused.json \
-		--tol $(BENCH_GATE_TOL) --keys $(BENCH_GATE_KEYS)
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_batch_throughput.py $(BENCH_BATCH_GATE_ARGS)
-	PYTHONPATH=src $(PYTHON) -m repro.observe compare \
-		$(BENCH_BATCH_BASELINE) benchmarks/results/BENCH_batch.json \
-		--tol $(BENCH_GATE_TOL) --keys $(BENCH_GATE_KEYS)
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_inplace.py $(BENCH_INPLACE_GATE_ARGS)
-	PYTHONPATH=src $(PYTHON) -m repro.observe compare \
-		$(BENCH_INPLACE_BASELINE) benchmarks/results/BENCH_inplace.json \
-		--tol $(BENCH_GATE_TOL) --keys $(BENCH_GATE_KEYS)
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_precision.py $(BENCH_PRECISION_GATE_ARGS)
-	PYTHONPATH=src $(PYTHON) -m repro.observe compare \
-		$(BENCH_PRECISION_BASELINE) benchmarks/results/BENCH_precision.json \
-		--tol $(BENCH_GATE_TOL) --keys $(BENCH_GATE_KEYS)
+# Benchmark-regression gate: five `bench/run.py --quick` runs on BASE
+# (checked out into a git worktree) and five on the working tree,
+# alternating which side runs first so host drift hits both sides, then
+# bench/compare.py's verdict as the exit code: 1 when any end-to-end
+# metric is worse than its BENCHMARK.json bound.  The records stay in
+# build/bench-compare/{base,head}.jsonl.
+BASE ?= $(shell git merge-base HEAD origin/main)
+
+bench-compare:
+	@test -n "$(BASE)" || { echo "bench-compare: no merge base with origin/main; pass BASE=<commit>" >&2; exit 2; }
+	@set -e; out="$(CURDIR)/build/bench-compare"; \
+	rm -rf "$$out"; git worktree prune; mkdir -p "$$out"; \
+	git worktree add --detach "$$out/base" $(BASE); \
+	trap 'git worktree remove --force "$$out/base"' EXIT; \
+	for i in 1 2 3 4 5; do \
+		if [ $$((i % 2)) = 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			echo "bench-compare: pair $$i, $$side"; \
+			if [ $$side = base ]; then dir="$$out/base"; else dir="$(CURDIR)"; fi; \
+			(cd "$$dir" && $(PYTHON) bench/run.py --quick --out "$$out/$$side.jsonl"); \
+		done; \
+	done; \
+	$(PYTHON) bench/compare.py "$$out/base.jsonl" "$$out/head.jsonl"
 
 # Chrome-trace demo: traces a small sequential + cube run and writes
 # benchmarks/results/trace_example.json (open at chrome://tracing or

@@ -15,9 +15,10 @@ over raveled grid indices, and ``np.add.at`` through NumPy's indexed
 fast path.  Their costs differ in *which* size dominates: ``bincount``
 allocates and sweeps a full ``minlength=num_grid_nodes`` output per
 component on top of its histogram loop, while ``add.at`` only touches
-the actual contributions.  ``benchmarks/results/bench_fused.txt``
-records the crossover on the paper's Table-I grid (43k contributions on
-a 63k-node grid: ``add.at`` 0.31 ms vs ``bincount`` 0.52 ms), so
+the actual contributions.  Timing both on the paper's Table-I grid,
+when the fused hot path was introduced, put the crossover above that
+workload (43k contributions on a 63k-node grid: ``add.at`` 0.31 ms vs
+``bincount`` 0.52 ms), so
 :func:`scatter_method` picks ``bincount`` only when the contribution
 count reaches the grid size and ``add_at`` otherwise.  The
 ``LBMIB_SCATTER`` environment variable (``auto``/``bincount``/
@@ -91,8 +92,9 @@ def scatter_method(
     top of its O(``num_contributions``) histogram loop; ``add_at`` pays
     only the contributions.  ``bincount`` therefore wins only once the
     stencil contributions cover the grid — below that the dense output
-    sweep dominates (the kernel-4 regression recorded in
-    ``benchmarks/results/bench_fused.txt``).
+    sweep dominates (the kernel-4 regression measured on the Table-I
+    grid: 43k contributions, 63k nodes, ``add.at`` 0.31 ms vs
+    ``bincount`` 0.52 ms).
 
     ``itemsize`` is the target field's element size in bytes.  The
     ``add_at`` indexed loop is compute-bound and shrinks with the

@@ -54,36 +54,6 @@ def _fig8() -> str:
     return render_fig8(run_fig8())
 
 
-def _fused() -> str:
-    from repro.experiments.bench_fused import render_bench_fused, run_bench_fused
-
-    return render_bench_fused(run_bench_fused(scale=4, steps=5, warmup=2))
-
-
-def _inplace() -> str:
-    from repro.experiments.bench_inplace import (
-        render_bench_inplace,
-        run_bench_inplace,
-    )
-
-    return render_bench_inplace(run_bench_inplace(scale=4, steps=5, warmup=2))
-
-
-def _batch() -> str:
-    from repro.experiments.bench_batch import render_bench_batch, run_bench_batch
-
-    return render_bench_batch(run_bench_batch(steps=5, warmup=2, batch_sizes=(1, 4)))
-
-
-def _precision() -> str:
-    from repro.experiments.bench_precision import (
-        render_bench_precision,
-        run_bench_precision,
-    )
-
-    return render_bench_precision(run_bench_precision(scale=4, steps=5, warmup=2))
-
-
 def _tune() -> str:
     from repro.experiments.bench_tune import render_bench_tune, run_bench_tune
 
@@ -100,10 +70,6 @@ ARTIFACTS = {
     "table4": _table4,
     "fig5": _fig5,
     "fig8": _fig8,
-    "fused": _fused,
-    "inplace": _inplace,
-    "batch": _batch,
-    "precision": _precision,
     "tune": _tune,
 }
 

@@ -31,63 +31,7 @@ from repro.tuning.predict import predict_ranking
 from repro.tuning.probe import probe_candidates
 from repro.tuning.space import TuningWorkload, candidate_space
 
-__all__ = ["autotune_addendum", "render_bench_tune", "run_bench_tune"]
-
-
-def autotune_addendum(
-    scale: int = 2,
-    steps: int = 3,
-    warmup: int = 1,
-    repeats: int = 2,
-    batch_size: int = 1,
-    precision: str = "float64",
-    budget_seconds: float | None = 10.0,
-    fluid_shape: tuple[int, int, int] | None = None,
-) -> str:
-    """The ``--autotune`` block shared by every ``make bench-*`` CLI.
-
-    Runs the full autotuner loop (predict, budgeted probe, decide) for
-    the bench's workload and renders the ranking next to the bench's
-    own hand-picked numbers.  Uses an in-memory decision cache so a
-    bench run never pollutes the persistent one.
-    """
-    from dataclasses import replace
-
-    from repro.config import StructureConfig
-
-    base = scaled_profiling_config(scale=scale)
-    if fluid_shape is not None:
-        base = replace(
-            base,
-            fluid_shape=fluid_shape,
-            structure=StructureConfig(kind="none"),
-        )
-    base = replace(base, precision=precision)
-    tuner = Autotuner(
-        cache=DecisionCache(path=None),
-        probe_steps=steps,
-        probe_warmup=warmup,
-        probe_repeats=repeats,
-        budget_seconds=budget_seconds,
-    )
-    report = tuner.tune(base, batch_size=batch_size)
-    decision = report.decision
-    lines = [
-        "autotune (model-guided ranking, budgeted top-N probe):",
-        f"  workload {report.workload.key()}",
-        f"  {'candidate':<32} {'pred ms':>9} {'meas ms':>9} {'err':>7}",
-    ]
-    for label, pred_ms, meas_ms, error, best in report.as_rows():
-        meas = f"{meas_ms:>9.4f}" if meas_ms != "" else f"{'-':>9}"
-        err = f"{error:>+7.2f}" if error != "" else f"{'-':>7}"
-        mark = "  <- tuned" if best else ""
-        lines.append(f"  {label:<32} {pred_ms:>9.4f} {meas} {err}{mark}")
-    lines.append(
-        f"  tuned: {decision.candidate.label()} "
-        f"({decision.measured_seconds * 1e3:.4f} ms/step, "
-        f"model_scale {decision.model_scale:.3g})"
-    )
-    return "\n".join(lines)
+__all__ = ["render_bench_tune", "run_bench_tune"]
 
 
 def run_bench_tune(

@@ -1,4 +1,4 @@
-"""Unified observability layer: tracing, metrics, and the benchmark gate.
+"""Unified observability layer: tracing and metrics.
 
 The paper's performance analysis rests on three instruments — gprof
 flat profiles (Table I), OmpP parallel-region profiles (Table II), and
@@ -10,9 +10,7 @@ first-class telemetry subsystem that subsumes the ad-hoc pieces under
                ``chrome://tracing`` export and bridges to the gprof /
                OmpP analyses;
 ``metrics``  — a counters/gauges/histograms registry with JSON snapshot
-               round-trip;
-``gate``     — the benchmark-regression gate
-               (``python -m repro.observe compare A.json B.json``).
+               round-trip.
 
 :class:`Telemetry` bundles one tracer and one registry and is the
 object the :class:`~repro.api.Simulation` facade accepts::
@@ -30,20 +28,14 @@ object the :class:`~repro.api.Simulation` facade accepts::
 
 When no telemetry is attached every solver sees ``tracer is None`` and
 skips all bookkeeping — the disabled path costs one attribute load per
-instrumentation site (gated at < 5% on the fused step benchmark).
+instrumentation site and allocates nothing
+(``tests/observe/test_tracer.py::TestDisabledPath`` pins it with
+tracemalloc).
 """
 
 from __future__ import annotations
 
 from repro.observe.drift import DriftDetector
-from repro.observe.gate import (
-    GateError,
-    GateReport,
-    KeyVerdict,
-    compare_benchmarks,
-    flatten_numeric,
-    load_bench,
-)
 from repro.observe.metrics import Counter, Gauge, Histogram, MetricsRegistry, Quantiles
 from repro.observe.tracer import (
     Span,
@@ -66,12 +58,6 @@ __all__ = [
     "Histogram",
     "Quantiles",
     "DriftDetector",
-    "GateError",
-    "GateReport",
-    "KeyVerdict",
-    "compare_benchmarks",
-    "flatten_numeric",
-    "load_bench",
 ]
 
 

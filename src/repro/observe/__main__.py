@@ -1,10 +1,5 @@
 """Command-line entry points of the observability layer.
 
-``python -m repro.observe compare BASELINE.json CANDIDATE.json [--tol X]``
-    The benchmark-regression gate (exit 0 = pass, 1 = regression,
-    2 = schema drift / unreadable record).  ``make bench-gate`` wraps
-    this against the checked-in baseline.
-
 ``python -m repro.observe trace-example [--output trace.json]``
     Runs a small FSI workload on the sequential solver (all nine
     Algorithm-1 kernels as per-step spans) and on the cube-parallel
@@ -20,37 +15,9 @@ import pathlib
 import sys
 
 from repro.observe import Telemetry, merge_chrome_traces, save_chrome_trace
-from repro.observe.gate import (
-    DEFAULT_TOLERANCE,
-    GateError,
-    compare_benchmarks,
-    load_bench,
-)
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        baseline = load_bench(args.baseline)
-        candidate = load_bench(args.candidate)
-        report = compare_benchmarks(
-            baseline,
-            candidate,
-            tolerance=args.tol,
-            keys=args.keys or None,
-        )
-    except GateError as exc:
-        print(f"bench-gate: SCHEMA ERROR\n{exc}", file=sys.stderr)
-        return 2
-    print(report.render())
-    if not report.ok:
-        print("bench-gate: FAIL", file=sys.stderr)
-        return 1
-    print("bench-gate: PASS")
-    return 0
 
 
 def _cmd_trace_example(args: argparse.Namespace) -> int:
-    # Imported lazily: `compare` must work without numpy in the picture.
     from repro.api import Simulation
     from repro.experiments.workloads import scaled_profiling_config
 
@@ -92,25 +59,9 @@ def _cmd_trace_example(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.observe",
-        description="telemetry tools: benchmark gate and trace example",
+        description="telemetry tools: trace example",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    compare = sub.add_parser(
-        "compare", help="diff two BENCH records under a tolerance"
-    )
-    compare.add_argument("baseline", help="baseline BENCH JSON path")
-    compare.add_argument("candidate", help="candidate BENCH JSON path")
-    compare.add_argument(
-        "--tol", type=float, default=DEFAULT_TOLERANCE,
-        help=f"relative tolerance (default {DEFAULT_TOLERANCE})",
-    )
-    compare.add_argument(
-        "--keys", nargs="*", default=None,
-        help="fnmatch patterns restricting the gated keys "
-             "(e.g. '*.step_seconds')",
-    )
-    compare.set_defaults(fn=_cmd_compare)
 
     trace = sub.add_parser(
         "trace-example",

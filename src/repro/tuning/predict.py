@@ -21,9 +21,9 @@ capacity arguments — into one per-candidate step-time estimate:
   per-sweep dispatch of the batched solver (amortised across its
   width).
 * ``scatter`` — the kernel-4 implementation delta, using the crossover
-  constants recorded in ``benchmarks/results/bench_fused.txt``
-  (``add.at`` pays per contribution, ``bincount`` pays a dense
-  per-grid-node sweep on top).
+  constants measured on the Table-I grid when the fused hot path was
+  introduced (``add.at`` pays per contribution, ``bincount`` pays a
+  dense per-grid-node sweep on top).
 
 Absolute accuracy is *not* the goal — the probe stage measures the
 top-ranked candidates and records prediction-vs-measured error, and
@@ -87,9 +87,9 @@ PER_CUBE_DISPATCH_SECONDS = 5e-5
 #: the batch width.
 BATCH_DISPATCH_SECONDS = 1.5e-4
 
-#: Kernel-4 scatter cost constants, from the crossover measured in
-#: ``benchmarks/results/bench_fused.txt`` (43k contributions on a
-#: 63k-node grid: add.at 0.31 ms, bincount 0.52 ms).
+#: Kernel-4 scatter cost constants, from the crossover measured on the
+#: Table-I grid when the fused hot path was introduced (43k
+#: contributions on a 63k-node grid: add.at 0.31 ms, bincount 0.52 ms).
 ADD_AT_SECONDS_PER_CONTRIB = 7.2e-9
 BINCOUNT_SECONDS_PER_VALUE = 2.3e-9
 
