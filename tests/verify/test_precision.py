@@ -98,6 +98,11 @@ def test_config_rejects_unknown_precision():
         replace(_config(), precision="float16")
 
 
+def _lattice_nbytes(precision, single_lattice):
+    grid = FluidGrid((4, 4, 4), single_lattice=single_lattice, precision=precision)
+    return sum(buf.nbytes for buf in (grid.df, grid.df_new) if buf is not None)
+
+
 @pytest.mark.parametrize("precision", ["float64", "float32", "mixed"])
 def test_grid_storage_and_arena_compute_dtypes(precision):
     policy = resolve_precision(precision)
@@ -109,15 +114,9 @@ def test_grid_storage_and_arena_compute_dtypes(precision):
     # Lattice bytes follow the storage dtype on both lattice schemes:
     # float64 holds exactly twice float32's, mixed exactly as much.
     for single in (False, True):
-        lattices = [
-            FluidGrid((4, 4, 4), single_lattice=single, precision=p)
-            for p in ("float32", precision)
-        ]
-        ref, got = (
-            sum(buf.nbytes for buf in (g.df, g.df_new) if buf is not None)
-            for g in lattices
+        assert _lattice_nbytes(precision, single) == (
+            _lattice_nbytes("float32", single) * policy.storage.itemsize // 4
         )
-        assert got == ref * policy.storage.itemsize // 4
 
 
 # ----------------------------------------------------------------------
