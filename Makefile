@@ -25,9 +25,10 @@ test-faults:
 # Deterministic chaos suite for the fault-tolerant batch scheduler:
 # seeded fault plans (slot corruption, checkpoint truncation, scheduler
 # kill + resume) with completed results pinned bit-identical to a
-# fault-free golden run.  Set LBMIB_CHAOS_DIR to keep the incident
-# journal and resume manifest for inspection (CI archives them on
-# failure).
+# fault-free golden run, and the crash-point enumeration (a service
+# killed at every journal append, then resumed).  Set LBMIB_CHAOS_DIR
+# to keep the job journal resume replays for inspection (CI archives
+# it on failure).
 test-chaos:
 	LBMIB_FAULT_TEST_TIMEOUT=180 $(PYTHON) -m pytest -m chaos tests/
 

@@ -31,11 +31,15 @@ Fault tolerance (all opt-in, zero overhead when off):
   with a structured :class:`FailureInfo` (root-cause chain, failing
   step, incident-log pointer) on its :class:`BatchResult`.
 * **Checkpoint-backed resume** — with a ``workdir``, the scheduler
-  journals a queue manifest plus periodic atomic per-job checkpoints
-  (tmp + rename + SHA-256, rotated to ``keep_checkpoints``); a killed
-  scheduler process restarts via :meth:`BatchScheduler.resume` and
-  completes every in-flight job losslessly, falling back past any
-  corrupted or truncated checkpoint it finds.
+  writes periodic atomic per-job checkpoints (tmp + rename + SHA-256,
+  rotated to ``keep_checkpoints``) and appends every lifecycle event —
+  submit (``job_dispatched``), ``checkpoint_saved``, ``job_retry``,
+  ``cancel_requested`` and the terminal ``job_completed`` /
+  ``job_failed`` / ``job_cancelled`` — to one fsync'd JSONL journal,
+  its only durable record of a job.  A killed scheduler process
+  restarts via :meth:`BatchScheduler.resume`, one fold over that
+  journal (:func:`replay_journal`), and completes every in-flight job
+  losslessly, falling back past any corrupted or truncated checkpoint.
 
 Serving hooks (the :mod:`repro.service` layer builds on these):
 
@@ -70,13 +74,12 @@ plus the fault-tolerance counters ``batch.retries``,
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -101,20 +104,20 @@ __all__ = [
     "BatchScheduler",
     "FailureInfo",
     "JobRequest",
+    "JournaledJob",
     "SchedulerTick",
     "TERMINAL_STATUSES",
     "compatibility_key",
+    "replay_journal",
 ]
 
 #: Job statuses that end a job's lifecycle (a result exists for each).
 TERMINAL_STATUSES = frozenset({"completed", "failed", "diverged", "cancelled"})
 
-#: Queue-manifest file name inside a scheduler ``workdir``.
-MANIFEST_NAME = "manifest.json"
-#: Crash-safe incident-journal file name inside a scheduler ``workdir``.
+#: Job-journal file name inside a standalone scheduler ``workdir``.
 INCIDENTS_NAME = "incidents.jsonl"
-
-_MANIFEST_VERSION = 1
+#: Default per-job checkpoint window (the rotation a journal replay mirrors).
+DEFAULT_KEEP_CHECKPOINTS = 2
 
 
 def compatibility_key(config: SimulationConfig) -> tuple:
@@ -180,35 +183,13 @@ class FailureInfo:
         return self.chain[-1] if self.chain else f"{self.error_type}: {self.message}"
 
     def to_dict(self) -> dict:
-        """JSON-safe form (manifest persistence, operator tooling)."""
-        return {
-            "job_id": self.job_id,
-            "error_type": self.error_type,
-            "message": self.message,
-            "invariant": self.invariant,
-            "failing_step": self.failing_step,
-            "slot": self.slot,
-            "attempt": self.attempt,
-            "quarantined": self.quarantined,
-            "chain": list(self.chain),
-            "incident_log": self.incident_log,
-        }
+        """JSON-safe form (journal records, operator tooling)."""
+        return {**asdict(self), "chain": list(self.chain)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FailureInfo":
         """Inverse of :meth:`to_dict` (used by :meth:`BatchScheduler.resume`)."""
-        return cls(
-            job_id=str(data["job_id"]),
-            error_type=str(data["error_type"]),
-            message=str(data.get("message", "")),
-            invariant=str(data.get("invariant", "unknown")),
-            failing_step=int(data.get("failing_step", -1)),
-            slot=int(data.get("slot", -1)),
-            attempt=int(data.get("attempt", 1)),
-            quarantined=bool(data.get("quarantined", False)),
-            chain=tuple(data.get("chain", ())),
-            incident_log=data.get("incident_log"),
-        )
+        return cls(**{**data, "chain": tuple(data.get("chain", ()))})
 
 
 @dataclass(frozen=True)
@@ -367,6 +348,93 @@ class BatchResult:
         return self.status == "completed"
 
 
+@dataclass
+class JournaledJob:
+    """One job's durable state, folded from the journal by :func:`replay_journal`.
+
+    ``accepted`` is the service's ``job_accepted`` record (tenant, state
+    seed, ...) when a :class:`~repro.service.SimulationService` shares
+    the journal.  The other fields come from the scheduler's records;
+    ``order`` stays ``None`` until the job was submitted to it.
+    ``status`` is ``"queued"`` or the last terminal status recorded;
+    ``steps`` is the terminal record's step (``None`` when unknown).
+    Checkpoints are named relative to the scheduler ``workdir``, so a
+    workdir can be moved before it is resumed.
+    """
+
+    job_id: str
+    accepted: dict | None = None
+    order: int | None = None
+    config: dict | None = None
+    num_steps: int = 0
+    init_checkpoint: str | None = None
+    attempt: int = 1
+    checkpoints: list[tuple[str, int]] = field(default_factory=list)
+    status: str = "queued"
+    steps: int | None = None
+    failure: dict | None = None
+    cancel_requested: bool = False
+
+
+def replay_journal(
+    path: str | os.PathLike, keep_checkpoints: int = DEFAULT_KEEP_CHECKPOINTS
+) -> dict[str, JournaledJob]:
+    """Fold a (possibly torn-tailed) job journal into per-job state.
+
+    One pass in record order, the newest record winning.  The
+    checkpoint trail applies the same ``keep_checkpoints`` window as
+    the live rotation and drops files journaled corrupt, so resume
+    never probes a file that rotation already deleted.  Jobs come back
+    in first-record order.
+    """
+    jobs: dict[str, JournaledJob] = {}
+    for event in IncidentLog.load(path).events:
+        detail = event.detail
+        job_id = detail.get("job")
+        if event.kind == "job_accepted":
+            jobs[job_id] = JournaledJob(job_id, accepted=dict(detail))
+            continue
+        if event.kind == "job_dispatched" and "config" in detail:
+            job = jobs.setdefault(job_id, JournaledJob(job_id))
+            job.order = int(detail["order"])
+            job.config = detail["config"]
+            job.num_steps = int(detail["num_steps"])
+            job.init_checkpoint = detail.get("init_checkpoint")
+            continue
+        job = jobs.get(job_id)
+        if job is None:
+            continue
+        if event.kind == "job_retry":
+            job.attempt = int(detail["attempt"])
+            job.config = detail["config"]
+        elif event.kind == "checkpoint_saved":
+            trail = [e for e in job.checkpoints if e[1] != event.step]
+            trail.append((str(detail["path"]), event.step))
+            job.checkpoints = trail[-keep_checkpoints:]
+        elif event.kind in ("checkpoint_corrupt", "checkpoint_unstable"):
+            name = os.path.basename(detail["path"])
+            job.checkpoints = [e for e in job.checkpoints if e[0] != name]
+        elif event.kind == "cancel_requested":
+            job.cancel_requested = True
+        elif event.kind in ("job_completed", "job_failed", "job_cancelled"):
+            job.status = {"job_completed": "completed", "job_cancelled": "cancelled"}.get(
+                event.kind, str(detail.get("status", "failed"))
+            )
+            job.steps = event.step if event.step >= 0 else None
+            job.attempt = int(detail.get("attempt", job.attempt))
+            job.failure = detail.get("failure")
+    return jobs
+
+
+def _rest_fluid(config: SimulationConfig) -> FluidGrid:
+    """A fresh fluid at the configured rest state."""
+    return FluidGrid(
+        config.fluid_shape,
+        tau=config.effective_tau,
+        collision_operator=config.collision_operator,
+    )
+
+
 class BatchScheduler:
     """Group, batch and continuously run submitted simulations.
 
@@ -393,8 +461,9 @@ class BatchScheduler:
         Strikes (failures of the same job) after which retries stop
         regardless of remaining attempt budget.
     workdir:
-        Directory for the queue manifest, per-job checkpoints and the
-        crash-safe incident journal.  ``None`` disables persistence.
+        Directory for per-job checkpoints and, unless ``incident_log``
+        is given, the crash-safe job journal ``incidents.jsonl``.
+        ``None`` disables persistence.
     checkpoint_every:
         Absolute-step period of per-job checkpoints (``0`` = only
         submit-time initial-state checkpoints; requires ``workdir``).
@@ -406,8 +475,10 @@ class BatchScheduler:
         ``tid`` interpreted as the batch *slot*) and into every
         checkpoint write (``truncate_checkpoint``).
     incident_log:
-        Optional pre-built :class:`~repro.resilience.incident.IncidentLog`;
-        by default a crash-safe JSONL journal is created inside
+        Optional pre-built :class:`~repro.resilience.incident.IncidentLog`
+        to journal into; :meth:`resume` folds its JSONL file, so a
+        service passes its own journal and both layers append to one
+        file.  By default a crash-safe JSONL journal is created inside
         ``workdir`` (in-memory only without one).
     step_hook:
         Optional callable receiving one :class:`SchedulerTick` after
@@ -430,7 +501,7 @@ class BatchScheduler:
         quarantine_after: int = 3,
         workdir: str | os.PathLike | None = None,
         checkpoint_every: int = 0,
-        keep_checkpoints: int = 2,
+        keep_checkpoints: int = DEFAULT_KEEP_CHECKPOINTS,
         fault_injector=None,
         incident_log: IncidentLog | None = None,
         step_hook=None,
@@ -507,10 +578,9 @@ class BatchScheduler:
         self._group_key: tuple | None = None
         #: Probe-path strike counts per job id (guard keeps its own).
         self._strikes: dict[str, int] = {}
-        #: Per-job checkpoint trail (oldest first), mirroring the manifest.
+        #: Per-job checkpoint trail (oldest first), one entry per job
+        #: ever submitted to a persisting scheduler.
         self._ckpts: dict[str, list[tuple[str, int]]] = {}
-        #: Persisted queue state, one entry per ever-submitted job id.
-        self._manifest: dict[str, dict] = {}
         #: Results reconstructed by :meth:`resume`, merged into the next run.
         self._restored: dict[str, BatchResult] = {}
 
@@ -541,52 +611,46 @@ class BatchScheduler:
             job_id = f"sim{self._counter}"
         elif (
             any(job.job_id == job_id for job in self._jobs)
-            or job_id in self._manifest
+            or job_id in self._ckpts
             or job_id in self._restored
         ):
             raise ConfigurationError(f"duplicate job id {job_id!r}")
-        job = BatchJob(
-            job_id=job_id,
-            config=config,
-            num_steps=int(num_steps),
-            order=self._counter,
-            initial_fluid=initial_fluid,
-            initial_structure=initial_structure,
-        )
-        self._jobs.append(job)
-        self._counter += 1
-        self._status[job_id] = "queued"
+        init_checkpoint = None
         if self._persist:
-            entry = {
-                "job_id": job_id,
-                "order": job.order,
-                "num_steps": job.num_steps,
-                "attempt": 1,
-                "status": "pending",
-                "config": config.to_dict(),
-                "steps_completed": 0,
-                "checkpoints": [],
-                "init_checkpoint": None,
-                "failure": None,
-            }
+            self._ckpts[job_id] = []
             if initial_fluid is not None or initial_structure is not None:
-                path = os.path.join(
-                    self.workdir, f"ckpt-{_safe_id(job_id)}-init.npz"
-                )
-                fluid = initial_fluid
-                if fluid is None:
-                    fluid = FluidGrid(
-                        config.fluid_shape,
-                        tau=config.effective_tau,
-                        collision_operator=config.collision_operator,
-                    )
+                init_checkpoint = f"ckpt-{_safe_id(job_id)}-init.npz"
                 # Submit-time write, not a runtime checkpoint: the
                 # fault injector's truncate hook is deliberately not
                 # consulted (there is no earlier state to fall back to).
-                save_checkpoint(path, fluid, initial_structure, time_step=0)
-                entry["init_checkpoint"] = path
-            self._manifest[job_id] = entry
-            self._save_manifest()
+                save_checkpoint(
+                    os.path.join(self.workdir, init_checkpoint),
+                    _rest_fluid(config) if initial_fluid is None else initial_fluid,
+                    initial_structure,
+                    time_step=0,
+                )
+        # Journal before the job becomes visible: a kill after this line
+        # never loses it, and resume() rebuilds it from this record.
+        self._record(
+            "job_dispatched",
+            job=job_id,
+            order=self._counter,
+            config=config.to_dict(),
+            num_steps=int(num_steps),
+            init_checkpoint=init_checkpoint,
+        )
+        self._jobs.append(
+            BatchJob(
+                job_id=job_id,
+                config=config,
+                num_steps=int(num_steps),
+                order=self._counter,
+                initial_fluid=initial_fluid,
+                initial_structure=initial_structure,
+            )
+        )
+        self._counter += 1
+        self._status[job_id] = "queued"
         return job_id
 
     def pending_groups(self) -> dict[tuple, list[str]]:
@@ -632,7 +696,12 @@ class BatchScheduler:
                     self._jobs.remove(queued)
                     self._restored[job_id] = self._cancelled_result(queued)
                     return True
-            self._cancel_requests.add(job_id)
+            if job_id not in self._cancel_requests:
+                self._cancel_requests.add(job_id)
+                # Durable acknowledgement: resume() retires the job as
+                # cancelled even if this process dies before the next
+                # step boundary drains the request.
+                self._record("cancel_requested", job=job_id)
         return True
 
     def _cancel_requested(self, job_id: str) -> bool:
@@ -648,11 +717,7 @@ class BatchScheduler:
         (or whose current attempt never started); bookkeeping included."""
         fluid = job.initial_fluid
         if fluid is None:
-            fluid = FluidGrid(
-                job.config.fluid_shape,
-                tau=job.config.effective_tau,
-                collision_operator=job.config.collision_operator,
-            )
+            fluid = _rest_fluid(job.config)
         result = BatchResult(
             job_id=job.job_id,
             status="cancelled",
@@ -664,133 +729,170 @@ class BatchScheduler:
         )
         self._status[job.job_id] = "cancelled"
         self._record(
-            "job_cancelled", step=job.start_step, job=job.job_id, queued=True
+            "job_cancelled",
+            step=job.start_step,
+            job=job.job_id,
+            attempt=job.attempt,
+            queued=True,
         )
         metrics = self._metrics()
         if metrics is not None:
             metrics.counter("batch.sims_cancelled").inc()
-        if self._persist:
-            entry = self._manifest.get(job.job_id)
-            if entry is not None:
-                entry["status"] = "cancelled"
-                entry["steps_completed"] = job.start_step
-                self._save_manifest()
         return result
 
     # ------------------------------------------------------------------
     # resume
     # ------------------------------------------------------------------
     @classmethod
-    def resume(cls, workdir: str | os.PathLike, **kwargs) -> "BatchScheduler":
+    def resume(
+        cls,
+        workdir: str | os.PathLike,
+        jobs: dict[str, JournaledJob] | None = None,
+        **kwargs,
+    ) -> "BatchScheduler":
         """Rebuild a scheduler from a (possibly killed) run's ``workdir``.
 
-        Reads the persisted queue manifest, reconstructs every job that
-        already reached a terminal state from its final checkpoint, and
-        re-queues every pending/running job from its newest *loadable*
-        checkpoint — corrupted or truncated files are journaled
-        (``checkpoint_corrupt``) and skipped, falling back to older
-        checkpoints, the submit-time initial state, and finally a fresh
-        configured state.  The next :meth:`run` then completes every
-        in-flight job and returns the union of restored and re-run
-        results.
+        One fold over the job journal (:func:`replay_journal`; pass
+        ``jobs`` when the caller already folded it).  Per submitted job:
 
-        ``kwargs`` are forwarded to the constructor (retry policy,
-        guard, telemetry, fault injector, cadence knobs...).
+        * ``completed`` — rebuilt from its final checkpoint; if that no
+          longer loads, re-run from the newest loadable state;
+        * ``failed`` / ``diverged`` / ``cancelled`` — restored as
+          recorded, not re-run;
+        * anything else — re-queued from its newest *loadable*
+          checkpoint (corrupt or truncated files are journaled
+          ``checkpoint_corrupt`` and skipped), then the submit-time
+          initial state.  A lost initial state is rebuilt from the
+          journaled ``state_seed``; without one the job is retired
+          ``failed`` rather than silently restarted from rest.  An
+          acknowledged cancel is honoured immediately.
+
+        The next :meth:`run` completes every in-flight job and returns
+        the union of restored and re-run results.  ``kwargs`` are
+        forwarded to the constructor (retry policy, guard, telemetry,
+        fault injector, ``incident_log``, cadence knobs...).
         """
         workdir = os.fspath(workdir)
-        manifest_path = os.path.join(workdir, MANIFEST_NAME)
-        try:
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"cannot read scheduler manifest {manifest_path}: {exc}"
-            ) from exc
-        scheduler = cls(workdir=workdir, **kwargs)
-        scheduler._counter = int(manifest.get("counter", 0))
-        entries = sorted(
-            manifest.get("jobs", {}).values(), key=lambda e: int(e["order"])
-        )
-        restored = requeued = 0
-        for entry in entries:
-            job_id = str(entry["job_id"])
-            scheduler._manifest[job_id] = entry
-            scheduler._ckpts[job_id] = [
-                (str(p), int(s)) for p, s in entry.get("checkpoints", [])
-            ]
-            config = SimulationConfig.from_dict(entry["config"])
-            num_steps = int(entry["num_steps"])
-            attempt = int(entry.get("attempt", 1))
-            status = str(entry.get("status", "pending"))
-            state = scheduler._restore_entry(entry, job_id)
-            fluid, structure, step = state if state is not None else (None, None, 0)
-            if status == "completed" and fluid is not None and step >= num_steps:
-                scheduler._restored[job_id] = BatchResult(
-                    job_id=job_id,
-                    status="completed",
-                    steps_completed=step,
-                    fluid=fluid,
-                    structure=structure,
-                    slot=-1,
-                    attempts=attempt,
-                )
-                scheduler._status[job_id] = "completed"
-                restored += 1
-                continue
-            if status in ("failed", "diverged", "cancelled"):
-                failure = (
-                    FailureInfo.from_dict(entry["failure"])
-                    if entry.get("failure")
-                    else None
-                )
-                if fluid is None:
-                    fluid = FluidGrid(
-                        config.fluid_shape,
-                        tau=config.effective_tau,
-                        collision_operator=config.collision_operator,
-                    )
-                scheduler._restored[job_id] = BatchResult(
-                    job_id=job_id,
-                    status=status,
-                    steps_completed=int(entry.get("steps_completed", step)),
-                    fluid=fluid,
-                    structure=structure,
-                    slot=-1,
-                    attempts=attempt,
-                    failure=failure,
-                )
-                scheduler._status[job_id] = status
-                restored += 1
-                continue
-            # pending / running (the process died mid-flight), or a
-            # "completed" entry whose final checkpoint no longer loads:
-            # re-queue from the newest restorable state.
-            entry["status"] = "pending"
-            scheduler._status[job_id] = "queued"
-            scheduler._jobs.append(
-                BatchJob(
-                    job_id=job_id,
-                    config=config,
-                    num_steps=num_steps,
-                    order=int(entry["order"]),
-                    initial_fluid=fluid,
-                    initial_structure=structure,
-                    attempt=attempt,
-                    start_step=step,
-                )
+        if jobs is None:
+            log = kwargs.get("incident_log")
+            path = (
+                os.path.join(workdir, INCIDENTS_NAME) if log is None else log.jsonl_path
             )
-            requeued += 1
+            if not (path and os.path.exists(path)):
+                raise CheckpointError(f"no scheduler journal to resume from: {path}")
+            keep = kwargs.get("keep_checkpoints", DEFAULT_KEEP_CHECKPOINTS)
+            jobs = replay_journal(path, keep)
+        scheduler = cls(workdir=workdir, **kwargs)
+        submitted = sorted(
+            (job for job in jobs.values() if job.order is not None),
+            key=lambda job: job.order,
+        )
+        if not submitted and os.path.exists(os.path.join(workdir, "manifest.json")):
+            raise CheckpointError(
+                f"{workdir} predates the journal format: it has a "
+                "manifest.json but its journal holds no submit records"
+            )
+        for entry in submitted:
+            scheduler._restore(entry)
         scheduler._record(
             "scheduler_resumed",
-            restored=restored,
-            requeued=requeued,
+            restored=len(scheduler._restored),
+            requeued=len(scheduler._jobs),
             workdir=workdir,
         )
         metrics = scheduler._metrics()
         if metrics is not None:
             metrics.counter("batch.resumes").inc()
-        scheduler._save_manifest()
         return scheduler
+
+    def _restore(self, entry: JournaledJob) -> None:
+        """Re-queue or restore one journaled job (see :meth:`resume`)."""
+        job_id = entry.job_id
+        config = SimulationConfig.from_dict(entry.config)
+        self._counter = max(self._counter, entry.order + 1)
+        self._ckpts[job_id] = [
+            (os.path.join(self.workdir, name), step)
+            for name, step in entry.checkpoints
+        ]
+        init_checkpoint = None
+        if entry.init_checkpoint:
+            init_checkpoint = os.path.join(self.workdir, entry.init_checkpoint)
+        state = self._newest_state(job_id, init_checkpoint)
+        status, steps, failure = entry.status, entry.steps, None
+        if entry.failure:
+            failure = FailureInfo.from_dict(entry.failure)
+        if status in ("queued", "completed"):
+            if state is not None and state[2] >= entry.num_steps:
+                if status != "completed":
+                    # Killed between the final checkpoint and its record.
+                    self._record(
+                        "job_completed",
+                        step=state[2],
+                        job=job_id,
+                        attempt=entry.attempt,
+                    )
+                status, steps = "completed", state[2]
+            else:
+                status = "queued"
+        if status == "queued" and state is None and init_checkpoint:
+            seed = (entry.accepted or {}).get("state_seed")
+            if seed is not None:
+                from repro.verify.oracle import seeded_initial_fluid
+
+                accepted = SimulationConfig.from_dict(entry.accepted["config"])
+                state = (seeded_initial_fluid(accepted, seed), None, 0)
+            else:
+                message = (
+                    f"initial-state checkpoint {init_checkpoint} does "
+                    "not load and the journal holds no state_seed to rebuild it"
+                )
+                status, steps = "failed", 0
+                failure = FailureInfo(
+                    job_id=job_id,
+                    error_type="CheckpointError",
+                    message=message,
+                    invariant="init_checkpoint",
+                    failing_step=0,
+                    slot=-1,
+                    attempt=entry.attempt,
+                    chain=(f"CheckpointError: {message}",),
+                    incident_log=self.incidents.jsonl_path,
+                )
+                self._record(
+                    "job_failed",
+                    step=0,
+                    job=job_id,
+                    status=status,
+                    attempt=entry.attempt,
+                    failure=failure.to_dict(),
+                )
+        fluid, structure, step = state if state is not None else (None, None, 0)
+        job = BatchJob(
+            job_id=job_id,
+            config=config,
+            num_steps=entry.num_steps,
+            order=entry.order,
+            initial_fluid=fluid,
+            initial_structure=structure,
+            attempt=entry.attempt,
+            start_step=step,
+        )
+        if status != "queued":
+            self._restored[job_id] = BatchResult(
+                job_id=job_id,
+                status=status,
+                steps_completed=step if steps is None else steps,
+                fluid=_rest_fluid(config) if fluid is None else fluid,
+                structure=structure,
+                attempts=entry.attempt,
+                failure=failure,
+            )
+            self._status[job_id] = status
+        elif entry.cancel_requested:
+            self._restored[job_id] = self._cancelled_result(job)
+        else:
+            self._jobs.append(job)
+            self._status[job_id] = "queued"
 
     # ------------------------------------------------------------------
     # execution
@@ -1112,7 +1214,13 @@ class BatchScheduler:
                 metrics.counter("batch.quarantined").inc()
         policy = self.retry_policy
         if policy is not None and job.attempt < policy.max_attempts and not quarantined:
-            fluid, structure, start = self._restart_state(job)
+            # Restart from the newest loadable checkpoint (corrupt ones
+            # are journaled and skipped), else from this attempt's start.
+            fluid, structure, start = self._newest_state(job.job_id) or (
+                job.initial_fluid,
+                job.initial_structure,
+                job.start_step,
+            )
             retry = BatchJob(
                 job_id=job.job_id,
                 config=policy.damped(job.config),
@@ -1132,16 +1240,11 @@ class BatchScheduler:
                 attempt=retry.attempt,
                 from_step=start,
                 tau=retry.config.effective_tau,
+                config=retry.config.to_dict(),
                 error=message,
             )
             if metrics is not None:
                 metrics.counter("batch.retries").inc()
-            if self._persist:
-                entry = self._manifest[job.job_id]
-                entry["status"] = "pending"
-                entry["attempt"] = retry.attempt
-                entry["config"] = retry.config.to_dict()
-                self._save_manifest()
             slots[slot] = None
             if solver.active[slot]:  # guard ejections already parked the slot
                 solver.clear_slot(slot)
@@ -1172,35 +1275,17 @@ class BatchScheduler:
         )
         self._refill(solver, slots, slot, queue, results)
 
-    def _restart_state(
-        self, job: BatchJob
-    ) -> tuple[FluidGrid | None, ImmersedStructure | None, int]:
-        """Best restorable ``(fluid, structure, start_step)`` for a retry.
-
-        Preference order: newest loadable on-disk checkpoint (corrupt
-        ones are journaled and skipped), the submit-time initial-state
-        checkpoint, the in-memory state this attempt started from, and
-        finally a fresh configured state at step 0.
-        """
-        if self._persist:
-            entry = self._manifest.get(job.job_id)
-            if entry is not None:
-                state = self._restore_entry(entry, job.job_id)
-                if state is not None:
-                    return state
-        return job.initial_fluid, job.initial_structure, job.start_step
-
-    def _restore_entry(
-        self, entry: dict, job_id: str
+    def _newest_state(
+        self, job_id: str, init_checkpoint: str | None = None
     ) -> tuple[FluidGrid, ImmersedStructure | None, int] | None:
-        """Newest loadable checkpoint state for a manifest entry."""
+        """Newest loadable checkpoint state of a job, else its
+        submit-time initial state (``init_checkpoint``), else ``None``."""
         for path, _step in reversed(list(self._ckpts.get(job_id, []))):
             state = self._load_checkpoint(path, job_id)
             if state is not None:
                 return state
-        init = entry.get("init_checkpoint")
-        if init:
-            state = self._load_checkpoint(init, job_id, drop=False)
+        if init_checkpoint:
+            state = self._load_checkpoint(init_checkpoint, job_id, drop=False)
             if state is not None:
                 return state[0], state[1], 0
         return None
@@ -1232,16 +1317,13 @@ class BatchScheduler:
         return fluid, structure, int(step)
 
     def _drop_checkpoint(self, job_id: str, path: str) -> None:
-        trail = [e for e in self._ckpts.get(job_id, []) if e[0] != path]
-        self._ckpts[job_id] = trail
+        self._ckpts[job_id] = [
+            e for e in self._ckpts.get(job_id, []) if e[0] != path
+        ]
         try:
             os.unlink(path)
         except OSError:
             pass
-        entry = self._manifest.get(job_id)
-        if entry is not None:
-            entry["checkpoints"] = [[p, s] for p, s in trail]
-            self._save_manifest()
 
     # ------------------------------------------------------------------
     # persistence
@@ -1259,36 +1341,17 @@ class BatchScheduler:
         save_checkpoint(path, fluid, structure, time_step=step)
         if self.fault_injector is not None:
             self.fault_injector.after_checkpoint(path, step)
+        # Journal the new file before rotation deletes older ones, so the
+        # journaled window always names the newest checkpoint on disk.
+        self._record(
+            "checkpoint_saved", step=step, job=job_id, path=os.path.basename(path)
+        )
         trail = [e for e in self._ckpts.get(job_id, []) if e[1] != step]
         trail.append((path, step))
-        self._ckpts[job_id] = trail = rotate_checkpoints(
-            trail, self.keep_checkpoints
-        )
-        entry = self._manifest[job_id]
-        entry["checkpoints"] = [[p, s] for p, s in trail]
-        entry["steps_completed"] = step
-        self._save_manifest()
-        self._record("checkpoint_saved", step=step, job=job_id, path=path)
+        self._ckpts[job_id] = rotate_checkpoints(trail, self.keep_checkpoints)
         metrics = self._metrics()
         if metrics is not None:
             metrics.counter("batch.checkpoints").inc()
-
-    def _save_manifest(self) -> None:
-        if not self._persist:
-            return
-        final = os.path.join(self.workdir, MANIFEST_NAME)
-        tmp = final + ".tmp"
-        payload = {
-            "version": _MANIFEST_VERSION,
-            "counter": self._counter,
-            "jobs": self._manifest,
-        }
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
 
     # ------------------------------------------------------------------
     # slot plumbing
@@ -1306,11 +1369,7 @@ class BatchScheduler:
                 job.initial_fluid, config.effective_tau, config.collision_operator
             )
         else:
-            fluid = FluidGrid(
-                config.fluid_shape,
-                tau=config.effective_tau,
-                collision_operator=config.collision_operator,
-            )
+            fluid = _rest_fluid(config)
         if job.initial_structure is not None:
             # The slot mutates its structure in place; keep the job's
             # restart state pristine for a possible further retry.
@@ -1320,11 +1379,6 @@ class BatchScheduler:
         solver.load_slot(slot, fluid, structure, job_id=job.job_id)
         slots[slot] = job
         self._status[job.job_id] = "running"
-        if self._persist:
-            entry = self._manifest.get(job.job_id)
-            if entry is not None:
-                entry["status"] = "running"
-                self._save_manifest()
 
     def _retire(
         self,
@@ -1370,17 +1424,19 @@ class BatchScheduler:
             ).inc()
             if failure is not None:
                 metrics.counter("batch.jobs_failed").inc()
-        if status == "completed":
+        if status in ("completed", "cancelled"):
             self._strikes.pop(job.job_id, None)
             if self._guard is not None:
                 self._guard.forgive(job.job_id)
+        if status == "completed":
+            if self._persist:
+                # Final-state checkpoint, journaled before the terminal
+                # record: resume() rebuilds the result from it.
+                self._write_checkpoint(job.job_id, fluid, structure, steps)
             self._record(
                 "job_completed", step=steps, job=job.job_id, attempt=job.attempt
             )
         elif status == "cancelled":
-            self._strikes.pop(job.job_id, None)
-            if self._guard is not None:
-                self._guard.forgive(job.job_id)
             self._record(
                 "job_cancelled",
                 step=steps,
@@ -1395,20 +1451,8 @@ class BatchScheduler:
                 job=job.job_id,
                 status=status,
                 attempt=job.attempt,
-                error=None if failure is None else failure.message,
+                failure=None if failure is None else failure.to_dict(),
             )
-        if self._persist:
-            if status == "completed":
-                # Final-state checkpoint: resume() rebuilds the result
-                # from it without re-running the job.
-                self._write_checkpoint(job.job_id, fluid, structure, steps)
-            entry = self._manifest.get(job.job_id)
-            if entry is not None:
-                entry["status"] = status
-                entry["steps_completed"] = steps
-                entry["attempt"] = job.attempt
-                entry["failure"] = None if failure is None else failure.to_dict()
-                self._save_manifest()
 
     def _next_job(
         self, queue: deque, results: dict[str, BatchResult]

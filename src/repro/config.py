@@ -343,13 +343,13 @@ class SimulationConfig:
         return [bc.build() for bc in self.boundaries]
 
     # ------------------------------------------------------------------
-    # serialisation (queue manifests, saved experiments)
+    # serialisation (job journal records, saved experiments)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-safe plain-dict form of the complete configuration.
 
-        Round-trips exactly through :meth:`from_dict`; used by the
-        batch scheduler's persisted queue manifest so a killed
+        Round-trips exactly through :meth:`from_dict`; the batch
+        scheduler journals it in each job's submit record so a killed
         scheduler process can resubmit every job on resume.
         """
         return {

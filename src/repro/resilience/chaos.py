@@ -201,8 +201,8 @@ class ChaosHarness:
         ... in submission order — slot assignment is FIFO, so fault
         ``tid``/slot targeting is deterministic).
     workdir:
-        Scratch directory for the faulted scheduler's manifest,
-        checkpoints and incident journal (must be empty or fresh).
+        Scratch directory for the faulted scheduler's checkpoints and
+        its job journal, which resume replays (must be empty or fresh).
     max_batch / check_finite_every / checkpoint_every / keep_checkpoints
     / max_attempts / quarantine_after / guard:
         Forwarded to the faulted :class:`BatchScheduler` (the golden

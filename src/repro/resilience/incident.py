@@ -123,12 +123,24 @@ class IncidentLog:
         return self._jsonl_path
 
     def attach_jsonl(self, path: str | os.PathLike) -> None:
-        """Mirror every future event into ``path`` (append, flush-per-record)."""
+        """Mirror every future event into ``path`` (append, flush-per-record).
+
+        A torn final line left by a kill mid-append is terminated first,
+        so the next record starts on a line of its own instead of being
+        glued to (and lost with) the fragment.
+        """
         with self._lock:
             if self._jsonl is not None:
                 self._jsonl.close()
             self._jsonl_path = os.fspath(path)
+            torn = False
+            if os.path.exists(self._jsonl_path) and os.path.getsize(self._jsonl_path):
+                with open(self._jsonl_path, "rb") as fh:
+                    fh.seek(-1, os.SEEK_END)
+                    torn = fh.read(1) != b"\n"
             self._jsonl = open(self._jsonl_path, "a", encoding="utf-8")
+            if torn:
+                self._jsonl.write("\n")
 
     def close(self) -> None:
         """Close the JSONL sink (idempotent; the in-memory journal stays)."""

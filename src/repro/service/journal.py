@@ -1,16 +1,22 @@
-"""Crash-safe service journal: accepted jobs survive a hard kill.
+"""Crash-safe job journal: the one durable record of every job.
 
 The service's durability rule is *journal before admit*: a job is
-appended to the journal (fsync'd JSONL via
+appended to ``service.jsonl`` (fsync'd JSONL via
 :class:`~repro.resilience.incident.IncidentLog`) before it enters the
-fair queues, so a kill at any instant leaves every accepted job either
+fair queues.  The service hands the same log to its
+:class:`~repro.batch.scheduler.BatchScheduler`, so the scheduler's own
+records — the submit record ``job_dispatched`` (config, order,
+initial-state checkpoint), ``checkpoint_saved``, ``job_retry``,
+``cancel_requested`` and the terminal ``job_completed`` /
+``job_failed`` / ``job_cancelled`` — land in the same file, and
+:meth:`ServiceJournal.replay` folds it once into per-job state.  A kill
+at any instant leaves every accepted job either
 
-* in the scheduler's own manifest (it was dispatched — the
-  :meth:`~repro.batch.scheduler.BatchScheduler.resume` machinery owns
-  its recovery), or
-* in this journal only (accepted but never dispatched — the service
-  re-enqueues it from the journaled config + state seed on
-  :meth:`~repro.service.service.SimulationService.resume`).
+* submitted to the scheduler — its records rebuild it through
+  :meth:`~repro.batch.scheduler.BatchScheduler.resume`, or
+* accepted only — the service re-enqueues it from the journaled
+  config + state seed on
+  :meth:`~repro.service.service.SimulationService.resume`.
 
 Raw initial-state arrays are deliberately not journaled; submissions
 carry an optional ``state_seed`` and the journal stores the seed, so
@@ -21,52 +27,26 @@ recovery rebuilds bit-identical initial fluids through
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
+from repro.batch.scheduler import JournaledJob, replay_journal
 from repro.resilience.incident import IncidentLog
 
-__all__ = ["ServiceJournal", "JournalReplay", "SERVICE_JOURNAL_NAME"]
+__all__ = ["ServiceJournal", "SERVICE_JOURNAL_NAME"]
 
 #: Journal file name inside the service workdir.
 SERVICE_JOURNAL_NAME = "service.jsonl"
 
 
-@dataclass
-class JournalReplay:
-    """The journal folded into per-job outcomes (newest event wins)."""
-
-    #: job_id -> acceptance record (tenant/config/num_steps/state_seed...).
-    accepted: dict[str, dict] = field(default_factory=dict)
-    #: Jobs handed to the batch scheduler (its manifest owns recovery).
-    dispatched: set[str] = field(default_factory=set)
-    #: Jobs cancelled at the service layer.
-    cancelled: set[str] = field(default_factory=set)
-    #: job_id -> ``{"status", "steps"}`` observed before the kill.
-    terminal: dict[str, dict] = field(default_factory=dict)
-
-    def undispatched(self) -> list[dict]:
-        """Acceptance records never handed to the scheduler, in order."""
-        return [
-            record
-            for job_id, record in self.accepted.items()
-            if job_id not in self.dispatched
-            and job_id not in self.cancelled
-            and job_id not in self.terminal
-        ]
-
-
 class ServiceJournal:
-    """Append-only job-lifecycle journal over an :class:`IncidentLog`."""
+    """The service's side of the shared append-only job journal."""
 
     def __init__(self, workdir: str | os.PathLike) -> None:
         self.workdir = os.fspath(workdir)
         os.makedirs(self.workdir, exist_ok=True)
         self.path = os.path.join(self.workdir, SERVICE_JOURNAL_NAME)
-        self._log = IncidentLog(jsonl_path=self.path)
+        #: The underlying log, shared with the service's batch scheduler.
+        self.log = IncidentLog(jsonl_path=self.path)
 
-    # ------------------------------------------------------------------
-    # append side
-    # ------------------------------------------------------------------
     def job_accepted(
         self,
         job_id: str,
@@ -77,7 +57,7 @@ class ServiceJournal:
         state_bytes: int,
     ) -> None:
         """Durably record an accepted job *before* it is enqueued."""
-        self._log.record(
+        self.log.record(
             "job_accepted",
             job=job_id,
             tenant=tenant,
@@ -87,47 +67,19 @@ class ServiceJournal:
             state_bytes=int(state_bytes),
         )
 
-    def job_dispatched(self, job_id: str) -> None:
-        """The job entered the batch scheduler (its manifest now owns it)."""
-        self._log.record("job_dispatched", job=job_id)
-
-    def job_terminal(self, job_id: str, status: str, steps: int) -> None:
-        """The job reached a terminal status."""
-        self._log.record("job_terminal", job=job_id, status=status, steps=int(steps))
-
     def job_cancelled(self, job_id: str, queued: bool) -> None:
-        """A cancellation was accepted (``queued`` = before dispatch)."""
-        self._log.record("job_cancelled", job=job_id, queued=bool(queued))
-
-    def service_resumed(self, requeued: int, restored: int) -> None:
-        """A restart rebuilt the service from this journal."""
-        self._log.record("service_resumed", requeued=requeued, restored=restored)
+        """A cancellation retired the job (``queued`` = before dispatch)."""
+        self.log.record("job_cancelled", job=job_id, queued=bool(queued))
 
     def close(self) -> None:
         """Release the underlying journal file handle."""
-        self._log.close()
+        self.log.close()
 
-    # ------------------------------------------------------------------
-    # replay side
-    # ------------------------------------------------------------------
     @classmethod
-    def replay(cls, workdir: str | os.PathLike) -> JournalReplay:
-        """Fold a (possibly torn-tailed) journal into per-job outcomes."""
+    def replay(cls, workdir: str | os.PathLike) -> dict[str, JournaledJob]:
+        """Fold a (possibly torn-tailed) journal into per-job state,
+        in acceptance order (empty when no journal exists)."""
         path = os.path.join(os.fspath(workdir), SERVICE_JOURNAL_NAME)
-        outcome = JournalReplay()
         if not os.path.exists(path):
-            return outcome
-        for event in IncidentLog.load(path).events:
-            job_id = event.detail.get("job")
-            if event.kind == "job_accepted":
-                outcome.accepted[job_id] = dict(event.detail)
-            elif event.kind == "job_dispatched":
-                outcome.dispatched.add(job_id)
-            elif event.kind == "job_cancelled":
-                outcome.cancelled.add(job_id)
-            elif event.kind == "job_terminal":
-                outcome.terminal[job_id] = {
-                    "status": str(event.detail.get("status")),
-                    "steps": int(event.detail.get("steps", 0)),
-                }
-        return outcome
+            return {}
+        return replay_journal(path)

@@ -13,10 +13,11 @@ multi-tenant job service:
   :meth:`~repro.config.SimulationConfig.estimated_state_bytes`
   (:mod:`repro.service.admission`) bounds total resident state.
 * **durability** — every accepted job is journaled before it is
-  enqueued (:mod:`repro.service.journal`); a hard kill at any instant
-  is recovered by :meth:`SimulationService.resume`, which replays the
-  journal for never-dispatched jobs and delegates in-flight ones to
-  :meth:`BatchScheduler.resume`.
+  enqueued, and the scheduler appends its own lifecycle records to the
+  same file (:mod:`repro.service.journal`); a hard kill at any instant
+  is recovered by :meth:`SimulationService.resume`, which folds that
+  one journal once, re-enqueues never-dispatched jobs and hands the
+  rest to :meth:`BatchScheduler.resume`.
 
 Threading model: the asyncio event loop owns the service API; one
 executor thread at a time runs ``BatchScheduler.run``.  The scheduler
@@ -35,10 +36,10 @@ import time
 import threading
 
 from repro.batch.scheduler import (
-    TERMINAL_STATUSES,
     BatchResult,
     BatchScheduler,
     JobRequest,
+    JournaledJob,
     SchedulerTick,
 )
 from repro.config import SimulationConfig
@@ -54,7 +55,7 @@ __all__ = ["SimulationService", "DEFAULT_MEMORY_BUDGET"]
 #: Default admission budget: resident state across queued + running jobs.
 DEFAULT_MEMORY_BUDGET = 1 << 30
 
-#: Subdirectory of the service workdir owned by the batch scheduler.
+#: Subdirectory of the service workdir holding the scheduler's checkpoints.
 BATCH_SUBDIR = "batch"
 
 
@@ -64,8 +65,9 @@ class SimulationService:
     Parameters
     ----------
     workdir:
-        Durability root: the service journal lives at its top level and
-        the batch scheduler's manifest/checkpoints under ``batch/``.
+        Durability root: the one job journal (``service.jsonl``, shared
+        with the batch scheduler) lives at its top level and the
+        scheduler's checkpoints under ``batch/``.
     tenants:
         Tenant specs; defaults to a single ``default`` tenant.
     max_batch:
@@ -135,7 +137,7 @@ class SimulationService:
     # ------------------------------------------------------------------
     @property
     def batch_workdir(self) -> str:
-        """The batch scheduler's persistence directory."""
+        """The batch scheduler's checkpoint directory."""
         return os.path.join(self.workdir, BATCH_SUBDIR)
 
     def _batch_kwargs(self) -> dict:
@@ -148,14 +150,24 @@ class SimulationService:
             guard=self.guard,
             step_hook=self._on_tick,
             refill_source=self._refill_source,
+            incident_log=self._journal.log,
         )
 
-    def _build_scheduler(self) -> BatchScheduler:
-        scheduler = BatchScheduler(
-            workdir=self.batch_workdir, **self._batch_kwargs()
-        )
+    def _build_scheduler(
+        self, resume: bool = False, jobs: dict[str, JournaledJob] | None = None
+    ) -> BatchScheduler:
+        """A fresh scheduler, or with ``resume`` one rebuilt from the
+        journal (``jobs`` = an already folded journal)."""
+        if resume:
+            scheduler = BatchScheduler.resume(
+                self.batch_workdir, jobs=jobs, **self._batch_kwargs()
+            )
+        else:
+            scheduler = BatchScheduler(
+                workdir=self.batch_workdir, **self._batch_kwargs()
+            )
         if self.retuner is not None:
-            # Re-bound on every rebuild (resume_on_kill constructs fresh
+            # Re-bound on every rebuild (resume_on_kill resumes fresh
             # schedulers) so re-tuned knobs always reach the live one.
             self.retuner.bind(scheduler)
         return scheduler
@@ -377,17 +389,8 @@ class SimulationService:
         metrics = self._metrics()
         if pending is not None:
             self._journal.job_cancelled(job_id, queued=True)
-            result = BatchResult(
-                job_id=job_id,
-                status="cancelled",
-                steps_completed=0,
-                fluid=pending.request.initial_fluid
-                or FluidGrid(
-                    record.config.fluid_shape,
-                    tau=record.config.effective_tau,
-                    collision_operator=record.config.collision_operator,
-                ),
-                structure=pending.request.initial_structure,
+            result = self._never_dispatched_cancel(
+                job_id, record.config, pending.request.initial_fluid
             )
             if metrics is not None:
                 metrics.counter("service.cancelled").inc()
@@ -395,7 +398,8 @@ class SimulationService:
             self._finish(record, result)
             return True
         # Already dispatched: delegate to the scheduler's thread-safe
-        # cancel; the terminal result flows back through _absorb.
+        # cancel, which journals the acknowledgement; the terminal
+        # result flows back through _absorb.
         accepted = self._scheduler.cancel(job_id)
         if not accepted:
             # Handoff race: _refill_source (executor thread) may have
@@ -410,10 +414,8 @@ class SimulationService:
                         return False
                 time.sleep(0.002)
                 accepted = self._scheduler.cancel(job_id)
-        if accepted:
-            self._journal.job_cancelled(job_id, queued=False)
-            if metrics is not None:
-                metrics.counter("service.cancelled").inc()
+        if accepted and metrics is not None:
+            metrics.counter("service.cancelled").inc()
         return accepted
 
     # ------------------------------------------------------------------
@@ -453,10 +455,13 @@ class SimulationService:
         self._journal.close()
 
     async def drain(self) -> None:
-        """Wait until every accepted job is terminal."""
+        """Wait until every accepted job is terminal with its result."""
         while self._fatal is None:
             with self._state_lock:
-                if all(record.terminal for record in self._records.values()):
+                if all(
+                    record.terminal and record.result is not None
+                    for record in self._records.values()
+                ):
                     return
             await asyncio.sleep(0.01)
         raise ServiceError(f"service stopped while draining: {self._fatal!r}")
@@ -515,9 +520,7 @@ class SimulationService:
                     raise
                 if metrics is not None:
                     metrics.counter("service.kills_survived").inc()
-                self._scheduler = BatchScheduler.resume(
-                    self.batch_workdir, **self._batch_kwargs()
-                )
+                self._scheduler = self._build_scheduler(resume=True)
                 continue
             finally:
                 if tracer is not None:
@@ -532,7 +535,8 @@ class SimulationService:
         self._absorb(results)
 
     def _dispatch(self, pending: PendingJob) -> None:
-        """Hand one queued job to the scheduler (loop or executor thread)."""
+        """Hand one queued job to the scheduler (event-loop thread); its
+        submit record is the durable dispatch."""
         self._scheduler.submit(
             pending.request.config,
             pending.request.num_steps,
@@ -540,47 +544,34 @@ class SimulationService:
             initial_fluid=pending.request.initial_fluid,
             initial_structure=pending.request.initial_structure,
         )
-        self._journal.job_dispatched(pending.job_id)
-        now = time.monotonic()
-        metrics = self._metrics()
-        with self._state_lock:
-            record = self._records.get(pending.job_id)
-            if record is not None:
-                record.dispatched_at = now
-                queue_seconds = now - record.submitted_at
-            else:  # pragma: no cover - defensive
-                queue_seconds = None
-        if metrics is not None:
-            if queue_seconds is not None:
-                metrics.histogram("service.queue_latency_seconds").observe(
-                    queue_seconds
-                )
-            metrics.gauge("service.queue_depth").set(self._queues.depth())
+        self._mark_dispatched(pending.job_id)
 
     def _refill_source(self, compat_key: tuple) -> JobRequest | None:
         """Scheduler callback (executor thread): next fair-order job
-        of the running compatibility group, already bookkept."""
+        of the running compatibility group, already bookkept.  The
+        scheduler submits (and journals) the returned request itself."""
         pending = self._queues.pop_next(compat_key)
         if pending is None:
             return None
-        self._journal.job_dispatched(pending.job_id)
+        self._mark_dispatched(pending.job_id)
+        return pending.request
+
+    def _mark_dispatched(self, job_id: str) -> None:
+        """Queue-latency bookkeeping for a job leaving the fair queues."""
         now = time.monotonic()
-        metrics = self._metrics()
+        queue_seconds = None
         with self._state_lock:
-            record = self._records.get(pending.job_id)
-            queue_seconds = None
+            record = self._records.get(job_id)
             if record is not None:
                 record.dispatched_at = now
                 queue_seconds = now - record.submitted_at
+        metrics = self._metrics()
         if metrics is not None:
             if queue_seconds is not None:
                 metrics.histogram("service.queue_latency_seconds").observe(
                     queue_seconds
                 )
             metrics.gauge("service.queue_depth").set(self._queues.depth())
-        # The scheduler submits the request itself; strip the job through
-        # its JobRequest form (initial state included).
-        return pending.request
 
     def _on_tick(self, tick: SchedulerTick) -> None:
         """Scheduler step hook (executor thread): progress + SLO metrics."""
@@ -636,7 +627,7 @@ class SimulationService:
             self._finish(record, result)
 
     def _finish(self, record: JobRecord, result: BatchResult) -> None:
-        """Mark one job terminal: budget, journal, metrics, waiters."""
+        """Mark one job terminal: budget, metrics, waiters."""
         with self._state_lock:
             record.status = result.status
             record.steps_completed = result.steps_completed
@@ -646,9 +637,6 @@ class SimulationService:
             waiters = self._terminal_events.pop(record.job_id, [])
             snapshot = record.snapshot()
         self._budget.release(record.job_id)
-        self._journal.job_terminal(
-            record.job_id, result.status, result.steps_completed
-        )
         metrics = self._metrics()
         if metrics is not None:
             counter = {
@@ -674,105 +662,84 @@ class SimulationService:
     def resume(cls, workdir: str | os.PathLike, **kwargs) -> "SimulationService":
         """Rebuild a service from a killed instance's ``workdir``.
 
-        Jobs the dead service had dispatched are recovered through
-        :meth:`BatchScheduler.resume` (newest loadable checkpoint);
-        jobs journaled but never dispatched are re-enqueued from their
+        Folds the one job journal once (:meth:`ServiceJournal.replay`).
+        Jobs the dead service had dispatched are rebuilt from that fold
+        by :meth:`BatchScheduler.resume` (newest loadable checkpoint);
+        jobs accepted but never dispatched are re-enqueued from their
         journaled config + state seed.  Tenants default to those in
         ``kwargs``; tenants found only in the journal are auto-
         registered at weight 1 so no accepted job is orphaned.
         """
-        replay = ServiceJournal.replay(workdir)
+        jobs = ServiceJournal.replay(workdir)
+        accepted = [job for job in jobs.values() if job.accepted is not None]
         tenants = {spec.name: spec for spec in kwargs.pop("tenants", None) or []}
-        for record in replay.accepted.values():
-            tenants.setdefault(str(record["tenant"]), TenantSpec(str(record["tenant"])))
+        for job in accepted:
+            tenant = str(job.accepted["tenant"])
+            tenants.setdefault(tenant, TenantSpec(tenant))
         if not tenants:
             tenants["default"] = TenantSpec("default")
         service = cls(workdir, tenants=list(tenants.values()), **kwargs)
-        batch_manifest = os.path.join(service.batch_workdir, "manifest.json")
-        if os.path.exists(batch_manifest):
-            service._scheduler = BatchScheduler.resume(
-                service.batch_workdir, **service._batch_kwargs()
-            )
-        requeued = restored = 0
-        for job_id, accepted in replay.accepted.items():
-            config = SimulationConfig.from_dict(accepted["config"])
-            num_steps = int(accepted["num_steps"])
-            tenant = str(accepted["tenant"])
-            state_seed = accepted.get("state_seed")
-            state_bytes = int(accepted.get("state_bytes", 0))
+        service._scheduler = service._build_scheduler(resume=True, jobs=jobs)
+        for job in accepted:
+            config = SimulationConfig.from_dict(job.accepted["config"])
+            num_steps = int(job.accepted["num_steps"])
+            tenant = str(job.accepted["tenant"])
+            state_seed = job.accepted.get("state_seed")
+            state_bytes = int(job.accepted.get("state_bytes", 0))
+            if job.order is None and job.status == "queued":
+                # Accepted but never dispatched: re-enqueue from the journal.
+                service._budget.reserve(job.job_id, state_bytes)
+                service._enqueue(
+                    job.job_id, tenant, config, num_steps, state_seed,
+                    state_bytes, journal=False,
+                )
+                continue
             record = JobRecord(
-                job_id=job_id,
+                job_id=job.job_id,
                 tenant=tenant,
                 config=config,
                 num_steps=num_steps,
                 state_bytes=state_bytes,
                 state_seed=state_seed,
+                status=job.status,
+                steps_completed=job.steps or 0,
                 submitted_at=time.monotonic(),
             )
-            scheduler_status = service._scheduler.job_status(job_id)
-            if scheduler_status is not None:
-                if (
-                    job_id in replay.cancelled
-                    and scheduler_status not in TERMINAL_STATUSES
-                ):
-                    # The dead service acknowledged this cancellation but
-                    # the scheduler never persisted it — re-issue it so
-                    # the job cannot run to completion after resume.
-                    service._scheduler.cancel(job_id)
-                    scheduler_status = service._scheduler.job_status(job_id)
+            if job.order is None:
+                # Cancelled before dispatch: no scheduler result follows.
+                record.result = service._never_dispatched_cancel(
+                    job.job_id, config, cls._initial_fluid(config, state_seed)
+                )
+            else:
                 # The scheduler owns it: terminal results surface on the
                 # next run(); in-flight jobs are already requeued there.
                 record.dispatched_at = record.submitted_at
-                record.status = (
-                    scheduler_status if scheduler_status != "queued" else "queued"
-                )
-                if record.terminal:
-                    restored += 1
-                else:
+                if not record.terminal:
                     try:
-                        service._budget.reserve(job_id, state_bytes)
+                        service._budget.reserve(job.job_id, state_bytes)
                     except AdmissionError:
                         pass  # already resident in scheduler state
-                    requeued += 1
-                with service._state_lock:
-                    service._records[job_id] = record
-                continue
-            if job_id in replay.cancelled or job_id in replay.terminal:
-                terminal = replay.terminal.get(job_id)
-                record.status = (
-                    str(terminal["status"]) if terminal else "cancelled"
-                )
-                record.steps_completed = int(terminal["steps"]) if terminal else 0
-                # Rebuild the same fluid the pre-kill result carried: the
-                # seeded initial state when the job had a state seed.
-                fluid = cls._initial_fluid(config, state_seed)
-                if fluid is None:
-                    fluid = FluidGrid(
-                        config.fluid_shape,
-                        tau=config.effective_tau,
-                        collision_operator=config.collision_operator,
-                    )
-                record.result = BatchResult(
-                    job_id=job_id,
-                    status=record.status,
-                    steps_completed=record.steps_completed,
-                    fluid=fluid,
-                    structure=None,
-                )
-                restored += 1
-                with service._state_lock:
-                    service._records[job_id] = record
-                continue
-            # Accepted but never dispatched: re-enqueue from the journal.
-            service._budget.reserve(job_id, state_bytes)
-            service._enqueue(
-                job_id, tenant, config, num_steps, state_seed, state_bytes,
-                journal=False,
-            )
-            requeued += 1
-        service._counter = len(replay.accepted)
-        service._journal.service_resumed(requeued=requeued, restored=restored)
+            with service._state_lock:
+                service._records[job.job_id] = record
+        service._counter = len(accepted)
         metrics = service._metrics()
         if metrics is not None:
             metrics.counter("service.resumes").inc()
         return service
+
+    @staticmethod
+    def _never_dispatched_cancel(
+        job_id: str, config: SimulationConfig, fluid: FluidGrid | None
+    ) -> BatchResult:
+        """The result of a job cancelled before it reached the scheduler:
+        its initial fluid (``None`` = the configured rest state)."""
+        if fluid is None:
+            fluid = FluidGrid(
+                config.fluid_shape,
+                tau=config.effective_tau,
+                collision_operator=config.collision_operator,
+            )
+        return BatchResult(
+            job_id=job_id, status="cancelled", steps_completed=0, fluid=fluid,
+            structure=None,
+        )

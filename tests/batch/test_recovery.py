@@ -1,6 +1,5 @@
 """Scheduler fault tolerance: retries, quarantine, checkpoints, resume."""
 
-import json
 import os
 
 import numpy as np
@@ -257,10 +256,13 @@ class TestCheckpointPersistence:
         with pytest.raises(WorkerKilledError):
             scheduler.run()
 
-        manifest = json.load(open(os.path.join(tmp_path, "manifest.json")))
-        entry = manifest["jobs"]["j0"]
-        assert entry["status"] == "running"
-        newest_path, newest_step = entry["checkpoints"][-1]
+        from repro.resilience.incident import IncidentLog
+
+        journal = IncidentLog.load(os.path.join(tmp_path, "incidents.jsonl"))
+        assert not journal.events_of("job_completed")  # still running
+        newest = journal.events_of("checkpoint_saved")[-1]
+        newest_path = os.path.join(tmp_path, newest.detail["path"])
+        newest_step = newest.step
         assert newest_step == 4
         if tamper == "truncate":
             size = os.path.getsize(newest_path)
@@ -298,9 +300,20 @@ class TestCheckpointPersistence:
         assert result.status == "completed"
         assert fields_digest(result.fluid, result.structure) == golden["j0"]
 
-    def test_resume_without_manifest_raises(self, tmp_path):
+    def test_resume_without_journal_raises(self, tmp_path):
         with pytest.raises(CheckpointError):
             BatchScheduler.resume(tmp_path / "nowhere")
+
+    def test_resume_refuses_pre_journal_workdir(self, tmp_path):
+        """A workdir written before the journal format (queue state in a
+        manifest.json, no submit records) must not resume to zero jobs."""
+        (tmp_path / "manifest.json").write_text('{"version": 1, "jobs": {}}\n')
+        (tmp_path / "incidents.jsonl").write_text(
+            '{"seq": 0, "kind": "checkpoint_saved", "step": 2, '
+            '"wall_time": 0.0, "detail": {"job": "j0", "path": "x.npz"}}\n'
+        )
+        with pytest.raises(CheckpointError, match="predates the journal format"):
+            BatchScheduler.resume(tmp_path)
 
     def test_incident_journal_is_crash_safe_jsonl(self, tmp_path):
         from repro.resilience.incident import IncidentLog

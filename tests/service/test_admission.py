@@ -185,7 +185,7 @@ class TestServiceAdmission:
         with pytest.raises(QueueFullError):
             service.submit(CFG, 2, tenant="t", state_seed=1)
         replay = ServiceJournal.replay(tmp_path)
-        assert list(replay.accepted) == [kept]
+        assert list(replay) == [kept]
         # The failed reservation was returned: draining the queue makes
         # room for the retry, exactly as the retry-after hint promises.
         assert service._queues.pop_next().job_id == kept

@@ -263,10 +263,11 @@ class TestRecovery:
     def test_restored_terminal_results_preserve_steps_and_seeded_state(
         self, tmp_path
     ):
-        """Regression: resume() fabricating a terminal result from the
-        journal alone must keep the journaled step count and rebuild the
-        seeded initial fluid — not a rest state with steps=0 — and
-        stream() must never yield ``result=None``."""
+        """Regression: with every checkpoint lost, resume() must keep the
+        journaled terminal status and step count, stream() must never
+        yield ``result=None``, and the rebuilt result must be the real
+        one — re-run from the journaled state seed, bit-identical to a
+        solo run — not a rest state with steps=0."""
         import shutil
 
         async def main():
@@ -276,8 +277,8 @@ class TestRecovery:
             return job_id
 
         job_id = asyncio.run(main())
-        # The batch scheduler's manifest is lost; only the service
-        # journal survives to reconstruct the terminal record.
+        # The checkpoints are lost; only the journal survives to
+        # reconstruct the terminal record.
         shutil.rmtree(tmp_path / "batch")
         revived = SimulationService.resume(tmp_path)
         snapshot = revived.poll(job_id)
@@ -293,11 +294,53 @@ class TestRecovery:
 
         events, result = asyncio.run(stream_one())
         assert events[-1]["type"] == "result"
-        assert events[-1]["result"] is not None
+        assert all(e["result"] is not None for e in events if e["type"] == "result")
         assert result is not None
+        assert result.status == "completed"
         assert result.steps_completed == 3
-        seeded = seeded_initial_fluid(CFG, 5)
-        assert np.array_equal(result.fluid.df, seeded.df)
+        assert fields_digest(result.fluid, result.structure) == _solo_digest(
+            CFG, 5, 3
+        )
+
+    def test_lost_init_checkpoint_rebuilds_from_seed_or_fails(self, tmp_path):
+        """Regression: a job whose initial-state checkpoint no longer
+        loads must not silently restart from rest.  With a journaled
+        state seed it is rebuilt bit-identically; without one it fails
+        with a FailureInfo naming the checkpoint."""
+        from repro.batch import BatchScheduler
+
+        # Seeded: a service job is dispatched, then the process dies.
+        service = SimulationService(tmp_path / "svc")
+        seeded = service.submit(CFG, 3, state_seed=4)
+        service._dispatch(service._queues.pop_next())
+        service._journal.close()
+        init = tmp_path / "svc" / "batch" / f"ckpt-{seeded}-init.npz"
+        init.write_bytes(init.read_bytes()[:100])
+
+        async def main():
+            revived = SimulationService.resume(tmp_path / "svc")
+            async with revived:
+                return await revived.result(seeded)
+
+        result = asyncio.run(main())
+        assert result.status == "completed"
+        assert fields_digest(result.fluid, result.structure) == _solo_digest(
+            CFG, 4, 3
+        )
+
+        # Unseeded: a scheduler job submitted with a raw initial state.
+        scheduler = BatchScheduler(workdir=tmp_path / "sched")
+        scheduler.submit(
+            CFG, 3, job_id="raw", initial_fluid=seeded_initial_fluid(CFG, 4)
+        )
+        init = tmp_path / "sched" / "ckpt-raw-init.npz"
+        init.write_bytes(init.read_bytes()[:100])
+        revived = BatchScheduler.resume(tmp_path / "sched")
+        assert revived.job_status("raw") == "failed"
+        (failed,) = revived.run().values()
+        assert failed.status == "failed"
+        assert failed.failure.invariant == "init_checkpoint"
+        assert str(init) in failed.failure.message
 
     def test_cancel_wins_refill_handoff_race(self, tmp_path):
         """Regression: cancel() arriving between _refill_source's pop

@@ -9,8 +9,8 @@ dispatched.  A *second* instance is then rebuilt from the same workdir
 via :meth:`SimulationService.resume` and must finish every job with
 results bit-identical to solo runs.
 
-Set ``LBMIB_SERVICE_DIR`` to keep the service journal and scheduler
-manifest for inspection (CI archives them on failure).
+Set ``LBMIB_SERVICE_DIR`` to keep the job journal (``service.jsonl``)
+and checkpoints for inspection (CI archives the journal on failure).
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def test_service_survives_hard_kill_and_restart(service_dir):
 
     # The journal alone knows every accepted job.
     replay = ServiceJournal.replay(service_dir)
-    assert sorted(replay.accepted) == sorted(ids)
+    assert sorted(replay) == sorted(ids)
 
     async def second_instance():
         telemetry = Telemetry()
