@@ -23,10 +23,10 @@ from repro.batch.scheduler import (
     TERMINAL_STATUSES,
     BatchJob,
     BatchResult,
-    BatchRetryPolicy,
     BatchScheduler,
     FailureInfo,
     JobRequest,
+    RetryPolicy,
     SchedulerTick,
     compatibility_key,
 )
@@ -38,10 +38,10 @@ __all__ = [
     "BatchedLBMIBSolver",
     "BatchJob",
     "BatchResult",
-    "BatchRetryPolicy",
     "BatchScheduler",
     "FailureInfo",
     "JobRequest",
+    "RetryPolicy",
     "SchedulerTick",
     "SlotEjection",
     "SlotGuard",

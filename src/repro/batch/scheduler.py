@@ -25,14 +25,16 @@ Fault tolerance (all opt-in, zero overhead when off):
   every batched step and ejects violators without perturbing sibling
   slots (their trajectories stay bit-identical, pinned by the chaos
   harness).
-* **Retry lifecycle** — with a :class:`BatchRetryPolicy`, a failed job
+* **Retry lifecycle** — with a
+  :class:`~repro.resilience.recovery.RetryPolicy`, a failed job
   re-enters the queue with damped tau and a bounded attempt budget;
   repeat offenders are quarantined.  A job out of budget is retired
   with a structured :class:`FailureInfo` (root-cause chain, failing
   step, incident-log pointer) on its :class:`BatchResult`.
 * **Checkpoint-backed resume** — with a ``workdir``, the scheduler
-  writes periodic atomic per-job checkpoints (tmp + rename + SHA-256,
-  rotated to ``keep_checkpoints``) and appends every lifecycle event —
+  writes periodic atomic per-job checkpoints (tmp + rename + SHA-256)
+  into one :class:`~repro.io.checkpoint.CheckpointTrail` per job,
+  rotated to ``keep_checkpoints``, and appends every lifecycle event —
   submit (``job_dispatched``), ``checkpoint_saved``, ``job_retry``,
   ``cancel_requested`` and the terminal ``job_completed`` /
   ``job_failed`` / ``job_cancelled`` — to one fsync'd JSONL journal,
@@ -79,9 +81,7 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from repro.batch.fields import BatchedFluidGrid, adopt_state
 from repro.batch.guard import SlotGuard
@@ -91,16 +91,17 @@ from repro.core.ib.fiber import ImmersedStructure
 from repro.core.lbm.fields import FluidGrid
 from repro.errors import CheckpointError, ConfigurationError
 from repro.io.checkpoint import (
-    load_checkpoint,
-    rotate_checkpoints,
+    DEFAULT_KEEP_CHECKPOINTS,
+    CheckpointTrail,
+    checkpoint_window,
     save_checkpoint,
 )
-from repro.resilience.incident import IncidentLog
+from repro.resilience.incident import INCIDENTS_NAME, IncidentLog
+from repro.resilience.recovery import FailureInfo, RetryPolicy, error_chain
 
 __all__ = [
     "BatchJob",
     "BatchResult",
-    "BatchRetryPolicy",
     "BatchScheduler",
     "FailureInfo",
     "JobRequest",
@@ -113,11 +114,6 @@ __all__ = [
 
 #: Job statuses that end a job's lifecycle (a result exists for each).
 TERMINAL_STATUSES = frozenset({"completed", "failed", "diverged", "cancelled"})
-
-#: Job-journal file name inside a standalone scheduler ``workdir``.
-INCIDENTS_NAME = "incidents.jsonl"
-#: Default per-job checkpoint window (the rotation a journal replay mirrors).
-DEFAULT_KEEP_CHECKPOINTS = 2
 
 
 def compatibility_key(config: SimulationConfig) -> tuple:
@@ -141,97 +137,6 @@ def compatibility_key(config: SimulationConfig) -> tuple:
             for bc in config.boundaries
         ),
     )
-
-
-def _error_chain(error: BaseException | None) -> tuple[str, ...]:
-    """The ``__cause__``/``__context__`` chain as human-readable strings."""
-    chain: list[str] = []
-    seen: set[int] = set()
-    while error is not None and id(error) not in seen:
-        seen.add(id(error))
-        chain.append(f"{type(error).__name__}: {error}")
-        error = error.__cause__ or error.__context__
-    return tuple(chain)
-
-
-@dataclass(frozen=True)
-class FailureInfo:
-    """Structured root-cause report attached to a terminal failure.
-
-    Everything an operator needs to triage a dead job without re-running
-    it: what blew up (``error_type`` / ``message`` / ``invariant``),
-    where (``failing_step`` / ``slot``), how hard the scheduler tried
-    (``attempt`` / ``quarantined``), the full exception ``chain`` and a
-    pointer to the crash-safe ``incident_log`` journal that holds the
-    step-by-step forensics.
-    """
-
-    job_id: str
-    error_type: str
-    message: str
-    invariant: str
-    failing_step: int
-    slot: int
-    attempt: int
-    quarantined: bool = False
-    chain: tuple[str, ...] = ()
-    incident_log: str | None = None
-
-    @property
-    def root_cause(self) -> str:
-        """The innermost link of the exception chain."""
-        return self.chain[-1] if self.chain else f"{self.error_type}: {self.message}"
-
-    def to_dict(self) -> dict:
-        """JSON-safe form (journal records, operator tooling)."""
-        return {**asdict(self), "chain": list(self.chain)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FailureInfo":
-        """Inverse of :meth:`to_dict` (used by :meth:`BatchScheduler.resume`)."""
-        return cls(**{**data, "chain": tuple(data.get("chain", ()))})
-
-
-@dataclass(frozen=True)
-class BatchRetryPolicy:
-    """Per-job retry budget for the batched scheduler.
-
-    Parameters
-    ----------
-    max_attempts:
-        Total attempts a job may consume (1 = no retries).
-    tau_damping:
-        Multiplier applied to the effective relaxation time on every
-        retry — the standard stabilisation move (higher tau = higher
-        viscosity).  ``1.0`` retries with unchanged physics, which is
-        what the chaos harness uses so retried jobs stay bit-identical
-        to their fault-free run.  Note a damped retry lands in a
-        *different* compatibility group (tau is part of the key), which
-        the scheduler's retry-wave loop handles transparently.
-    """
-
-    max_attempts: int = 3
-    tau_damping: float = 1.2
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.tau_damping < 1.0:
-            raise ConfigurationError(
-                "tau_damping must be >= 1 (damping raises viscosity), "
-                f"got {self.tau_damping}"
-            )
-
-    def damped(self, config: SimulationConfig) -> SimulationConfig:
-        """``config`` with the retry damping applied (same contract as
-        :class:`~repro.resilience.runner.ResilientRunner`)."""
-        if self.tau_damping == 1.0:
-            return config
-        return replace(
-            config, tau=config.effective_tau * self.tau_damping, viscosity=None
-        )
 
 
 @dataclass(eq=False)
@@ -408,9 +313,9 @@ def replay_journal(
             job.attempt = int(detail["attempt"])
             job.config = detail["config"]
         elif event.kind == "checkpoint_saved":
-            trail = [e for e in job.checkpoints if e[1] != event.step]
-            trail.append((str(detail["path"]), event.step))
-            job.checkpoints = trail[-keep_checkpoints:]
+            job.checkpoints, _ = checkpoint_window(
+                job.checkpoints, str(detail["path"]), event.step, keep_checkpoints
+            )
         elif event.kind in ("checkpoint_corrupt", "checkpoint_unstable"):
             name = os.path.basename(detail["path"])
             job.checkpoints = [e for e in job.checkpoints if e[0] != name]
@@ -450,7 +355,7 @@ class BatchScheduler:
         Optional :class:`~repro.observe.Telemetry` receiving the
         scheduler's spans and metrics.
     retry_policy:
-        Optional :class:`BatchRetryPolicy`.  ``None`` (default)
+        Optional :class:`~repro.resilience.recovery.RetryPolicy`.  ``None`` (default)
         preserves the classic behaviour: the first failure is terminal.
     guard:
         ``True`` to health-check every slot each step with a default
@@ -496,7 +401,7 @@ class BatchScheduler:
         max_batch: int = 16,
         check_finite_every: int = 1,
         telemetry=None,
-        retry_policy: BatchRetryPolicy | None = None,
+        retry_policy: RetryPolicy | None = None,
         guard: "bool | SlotGuard" = False,
         quarantine_after: int = 3,
         workdir: str | os.PathLike | None = None,
@@ -578,9 +483,9 @@ class BatchScheduler:
         self._group_key: tuple | None = None
         #: Probe-path strike counts per job id (guard keeps its own).
         self._strikes: dict[str, int] = {}
-        #: Per-job checkpoint trail (oldest first), one entry per job
-        #: ever submitted to a persisting scheduler.
-        self._ckpts: dict[str, list[tuple[str, int]]] = {}
+        #: One checkpoint trail per job ever submitted to a persisting
+        #: scheduler.
+        self._trails: dict[str, CheckpointTrail] = {}
         #: Results reconstructed by :meth:`resume`, merged into the next run.
         self._restored: dict[str, BatchResult] = {}
 
@@ -611,13 +516,13 @@ class BatchScheduler:
             job_id = f"sim{self._counter}"
         elif (
             any(job.job_id == job_id for job in self._jobs)
-            or job_id in self._ckpts
+            or job_id in self._trails
             or job_id in self._restored
         ):
             raise ConfigurationError(f"duplicate job id {job_id!r}")
         init_checkpoint = None
         if self._persist:
-            self._ckpts[job_id] = []
+            self._trails[job_id] = self._trail(job_id)
             if initial_fluid is not None or initial_structure is not None:
                 init_checkpoint = f"ckpt-{_safe_id(job_id)}-init.npz"
                 # Submit-time write, not a runtime checkpoint: the
@@ -711,6 +616,17 @@ class BatchScheduler:
                 self._cancel_requests.discard(job_id)
                 return True
             return False
+
+    def _claim_completion(self, job_id: str) -> str:
+        """Terminal status of a job that ran all its steps, claimed under
+        ``_cancel_lock`` so an acknowledged cancel wins and a later one
+        is refused."""
+        with self._cancel_lock:
+            if job_id in self._cancel_requests:
+                self._cancel_requests.discard(job_id)
+                return "cancelled"
+            self._status[job_id] = "completed"
+            return "completed"
 
     def _cancelled_result(self, job: BatchJob) -> BatchResult:
         """Terminal ``"cancelled"`` result for a job that never ran
@@ -810,14 +726,8 @@ class BatchScheduler:
         job_id = entry.job_id
         config = SimulationConfig.from_dict(entry.config)
         self._counter = max(self._counter, entry.order + 1)
-        self._ckpts[job_id] = [
-            (os.path.join(self.workdir, name), step)
-            for name, step in entry.checkpoints
-        ]
-        init_checkpoint = None
-        if entry.init_checkpoint:
-            init_checkpoint = os.path.join(self.workdir, entry.init_checkpoint)
-        state = self._newest_state(job_id, init_checkpoint)
+        trail = self._trails[job_id] = self._trail(job_id, entry.checkpoints)
+        state = trail.restore(entry.init_checkpoint)
         status, steps, failure = entry.status, entry.steps, None
         if entry.failure:
             failure = FailureInfo.from_dict(entry.failure)
@@ -834,7 +744,7 @@ class BatchScheduler:
                 status, steps = "completed", state[2]
             else:
                 status = "queued"
-        if status == "queued" and state is None and init_checkpoint:
+        if status == "queued" and state is None and entry.init_checkpoint:
             seed = (entry.accepted or {}).get("state_seed")
             if seed is not None:
                 from repro.verify.oracle import seeded_initial_fluid
@@ -842,9 +752,10 @@ class BatchScheduler:
                 accepted = SimulationConfig.from_dict(entry.accepted["config"])
                 state = (seeded_initial_fluid(accepted, seed), None, 0)
             else:
+                path = os.path.join(self.workdir, entry.init_checkpoint)
                 message = (
-                    f"initial-state checkpoint {init_checkpoint} does "
-                    "not load and the journal holds no state_seed to rebuild it"
+                    f"initial-state checkpoint {path} does not load and "
+                    "the journal holds no state_seed to rebuild it"
                 )
                 status, steps = "failed", 0
                 failure = FailureInfo(
@@ -1081,7 +992,7 @@ class BatchScheduler:
                         failing_step=job.start_step + ejection.job_step,
                         state=(ejection.fluid, ejection.structure),
                         quarantined=ejection.quarantined,
-                        chain=_error_chain(ejection.error),
+                        chain=error_chain(ejection.error),
                         ejected=True,
                     )
             # Cooperative cancellation drain: requested slots are
@@ -1139,9 +1050,8 @@ class BatchScheduler:
                         ejected=False,
                     )
                 elif step_abs >= job.num_steps:
-                    self._retire(
-                        solver, slots, slot, results, "completed", steps=step_abs
-                    )
+                    status = self._claim_completion(job.job_id)
+                    self._retire(solver, slots, slot, results, status, steps=step_abs)
                     self._refill(solver, slots, slot, queue, results)
                 elif (
                     self._persist
@@ -1216,7 +1126,8 @@ class BatchScheduler:
         if policy is not None and job.attempt < policy.max_attempts and not quarantined:
             # Restart from the newest loadable checkpoint (corrupt ones
             # are journaled and skipped), else from this attempt's start.
-            fluid, structure, start = self._newest_state(job.job_id) or (
+            trail = self._trails.get(job.job_id)
+            fluid, structure, start = (trail and trail.restore()) or (
                 job.initial_fluid,
                 job.initial_structure,
                 job.start_step,
@@ -1275,59 +1186,20 @@ class BatchScheduler:
         )
         self._refill(solver, slots, slot, queue, results)
 
-    def _newest_state(
-        self, job_id: str, init_checkpoint: str | None = None
-    ) -> tuple[FluidGrid, ImmersedStructure | None, int] | None:
-        """Newest loadable checkpoint state of a job, else its
-        submit-time initial state (``init_checkpoint``), else ``None``."""
-        for path, _step in reversed(list(self._ckpts.get(job_id, []))):
-            state = self._load_checkpoint(path, job_id)
-            if state is not None:
-                return state
-        if init_checkpoint:
-            state = self._load_checkpoint(init_checkpoint, job_id, drop=False)
-            if state is not None:
-                return state[0], state[1], 0
-        return None
-
-    def _load_checkpoint(
-        self, path: str, job_id: str, drop: bool = True
-    ) -> tuple[FluidGrid, ImmersedStructure | None, int] | None:
-        """Load one checkpoint, journaling and dropping it when unusable."""
-        try:
-            fluid, structure, step = load_checkpoint(path)
-        except CheckpointError as exc:
-            self._record(
-                "checkpoint_corrupt", job=job_id, path=path, error=str(exc)
-            )
-            if drop:
-                self._drop_checkpoint(job_id, path)
-            return None
-        if not (
-            np.isfinite(fluid.density).all() and np.isfinite(fluid.df).all()
-        ):
-            # Written before the divergence was detected (coarse probe
-            # cadence): restarting from it would fail instantly.
-            self._record(
-                "checkpoint_unstable", step=step, job=job_id, path=path
-            )
-            if drop:
-                self._drop_checkpoint(job_id, path)
-            return None
-        return fluid, structure, int(step)
-
-    def _drop_checkpoint(self, job_id: str, path: str) -> None:
-        self._ckpts[job_id] = [
-            e for e in self._ckpts.get(job_id, []) if e[0] != path
-        ]
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
+    def _trail(self, job_id: str, entries=()) -> CheckpointTrail:
+        return CheckpointTrail(
+            self.workdir,
+            self._record,
+            job_id,
+            stem=f"ckpt-{_safe_id(job_id)}-",
+            keep=self.keep_checkpoints,
+            fault_injector=self.fault_injector,
+            entries=entries,
+        )
+
     def _write_checkpoint(
         self,
         job_id: str,
@@ -1335,20 +1207,9 @@ class BatchScheduler:
         structure: ImmersedStructure | None,
         step: int,
     ) -> None:
-        path = os.path.join(
-            self.workdir, f"ckpt-{_safe_id(job_id)}-{step:08d}.npz"
-        )
-        save_checkpoint(path, fluid, structure, time_step=step)
-        if self.fault_injector is not None:
-            self.fault_injector.after_checkpoint(path, step)
-        # Journal the new file before rotation deletes older ones, so the
-        # journaled window always names the newest checkpoint on disk.
-        self._record(
-            "checkpoint_saved", step=step, job=job_id, path=os.path.basename(path)
-        )
-        trail = [e for e in self._ckpts.get(job_id, []) if e[1] != step]
-        trail.append((path, step))
-        self._ckpts[job_id] = rotate_checkpoints(trail, self.keep_checkpoints)
+        trail = self._trails[job_id]
+        save_checkpoint(trail.path(step), fluid, structure, time_step=step)
+        trail.saved(step)
         metrics = self._metrics()
         if metrics is not None:
             metrics.counter("batch.checkpoints").inc()

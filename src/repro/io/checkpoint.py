@@ -16,6 +16,10 @@ Checkpoints are crash-safe by construction:
   silently corrupted bytes (bit rot, torn writes on non-POSIX stores)
   raise :class:`~repro.errors.CheckpointError` instead of loading as
   garbage physics.
+
+A job's checkpoints form one :class:`CheckpointTrail`, the recovery
+path of both :class:`~repro.resilience.runner.ResilientRunner` and
+:class:`~repro.batch.scheduler.BatchScheduler`.
 """
 
 from __future__ import annotations
@@ -29,14 +33,19 @@ import numpy as np
 
 from repro.core.ib.fiber import FiberSheet, ImmersedStructure
 from repro.core.lbm.fields import FluidGrid
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigurationError
 
 __all__ = [
+    "CheckpointTrail",
+    "DEFAULT_KEEP_CHECKPOINTS",
+    "checkpoint_window",
     "save_checkpoint",
     "load_checkpoint",
     "payload_checksum",
-    "rotate_checkpoints",
 ]
+
+#: Default checkpoint-window size of a job's :class:`CheckpointTrail`.
+DEFAULT_KEEP_CHECKPOINTS = 2
 
 _FORMAT_VERSION = 1
 _CHECKSUM_KEY = "checksum"
@@ -132,28 +141,120 @@ def save_checkpoint(
         raise CheckpointError(f"cannot write checkpoint {final}: {exc}") from exc
 
 
-def rotate_checkpoints(
-    checkpoints: list[tuple[str, int]], keep: int
-) -> list[tuple[str, int]]:
-    """Garbage-collect a ``(path, step)`` checkpoint window down to ``keep``.
+def checkpoint_window(
+    trail: list[tuple[str, int]], name: str, step: int, keep: int
+) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+    """The keep-N rule: add ``(name, step)`` to an oldest-first window.
 
-    The list is oldest-first; entries beyond the newest ``keep`` are
-    unlinked (a missing file is not an error — a previous rotation or a
-    fault-injection test may already have removed it) and the surviving
-    window is returned.  Both :class:`~repro.resilience.runner.ResilientRunner`
-    and the batch scheduler's per-job checkpoint trail use this so long
-    soak runs have bounded disk usage.
+    A re-written step replaces its earlier entry.  Returns ``(kept,
+    dropped)``: the newest ``keep`` entries and those that fell out.
+    The live :class:`CheckpointTrail` unlinks the dropped files; a
+    journal replay just forgets them.
     """
-    if keep < 1:
-        raise ValueError(f"keep must be >= 1, got {keep}")
-    survivors = list(checkpoints)
-    while len(survivors) > keep:
-        old_path, _old_step = survivors.pop(0)
+    trail = [entry for entry in trail if entry[1] != step]
+    trail.append((name, step))
+    return trail[-keep:], trail[:-keep]
+
+
+class CheckpointTrail:
+    """One job's rotating window of checkpoints inside ``workdir``.
+
+    The caller writes each checkpoint to :meth:`path` itself, then calls
+    :meth:`saved`.  The trail owns the rest: the file name
+    (``<stem><step:08d>.npz``), the fault injector's
+    ``after_checkpoint`` hook, the ``checkpoint_saved`` record (the
+    basename, journaled *before* rotation deletes older files, so a
+    replay always names the newest file on disk), the ``keep``-newest
+    window and newest-loadable :meth:`restore`.  Every record goes
+    through ``record(kind, step=..., **detail)`` and names ``job_id``.
+    ``entries`` seeds the oldest-first ``(name, step)`` window from a
+    replayed journal; names are relative to ``workdir``, so a workdir
+    can be moved before it is restored from.
+    """
+
+    def __init__(
+        self,
+        workdir: str | os.PathLike,
+        record,
+        job_id: str,
+        stem: str = "ckpt-",
+        keep: int = DEFAULT_KEEP_CHECKPOINTS,
+        fault_injector=None,
+        entries: list[tuple[str, int]] = (),
+    ) -> None:
+        if keep < 1:
+            raise ConfigurationError(f"keep_checkpoints must be >= 1, got {keep}")
+        self.workdir = os.fspath(workdir)
+        self.job_id = job_id
+        self.stem = stem
+        self.keep = keep
+        self.fault_injector = fault_injector
+        self.entries = list(entries)
+        self._record = record
+
+    def path(self, step: int) -> str:
+        """Where the checkpoint of ``step`` is written."""
+        return os.path.join(self.workdir, f"{self.stem}{step:08d}.npz")
+
+    def saved(self, step: int) -> None:
+        """Account for the checkpoint just written to :meth:`path`."""
+        path = self.path(step)
+        if self.fault_injector is not None:
+            # Gives truncate_checkpoint faults their shot at the file —
+            # simulating a crash mid-write on a pre-atomic store.
+            self.fault_injector.after_checkpoint(path, step)
+        name = os.path.basename(path)
+        self._record("checkpoint_saved", step=step, job=self.job_id, path=name)
+        self.entries, dropped = checkpoint_window(self.entries, name, step, self.keep)
+        for old, _step in dropped:
+            self._unlink(old)
+
+    def restore(
+        self, fallback: str | None = None
+    ) -> tuple[FluidGrid, ImmersedStructure | None, int] | None:
+        """Newest loadable state, else the ``fallback`` file's at step 0.
+
+        An unusable entry is journaled (``checkpoint_corrupt`` when it
+        does not load, ``checkpoint_unstable`` when non-finite) and
+        dropped with its file; the ``fallback`` is never deleted.
+        """
+        while self.entries:
+            name, step = self.entries[-1]
+            state = self._load(name, step)
+            if state is not None:
+                return state
+            self.entries.pop()
+            self._unlink(name)
+        if fallback:
+            state = self._load(fallback, 0)
+            if state is not None:
+                return state[0], state[1], 0
+        return None
+
+    def _load(self, name: str, step: int):
         try:
-            os.unlink(old_path)
+            fluid, structure, step = load_checkpoint(os.path.join(self.workdir, name))
+        except CheckpointError as exc:
+            self._record(
+                "checkpoint_corrupt",
+                step=step,
+                job=self.job_id,
+                path=name,
+                error=str(exc),
+            )
+            return None
+        if not (np.isfinite(fluid.density).all() and np.isfinite(fluid.df).all()):
+            # Written before the divergence was detected (coarse probe
+            # cadence): restarting from it would fail instantly.
+            self._record("checkpoint_unstable", step=step, job=self.job_id, path=name)
+            return None
+        return fluid, structure, int(step)
+
+    def _unlink(self, name: str) -> None:
+        try:  # a fault or an earlier rotation may have removed it already
+            os.unlink(os.path.join(self.workdir, name))
         except OSError:
             pass
-    return survivors
 
 
 def load_checkpoint(

@@ -15,15 +15,16 @@ important, *testable on one core*:
     thread/rank, drop or delay a communicator message, and truncate a
     checkpoint file.
 ``incident``
-    :class:`IncidentLog` — a structured, JSON-serialisable record of
-    every fault, retry, rollback, and recovery, for the observability
-    stack.
+    :class:`IncidentLog` — the crash-safe job journal of solo and
+    batched runs alike (``incidents.jsonl``).
+``recovery``
+    :class:`RetryPolicy` / :class:`FailureInfo` — the retry budget and
+    terminal report shared by the runner and the batch scheduler.
 ``runner``
-    :class:`ResilientRunner` / :class:`RetryPolicy` — drives any solver
-    variant with periodic atomic checkpoints; rolls back and retries
-    with damped parameters on :class:`~repro.errors.StabilityError`,
-    and falls back to the sequential solver when a parallel worker
-    dies.
+    :class:`ResilientRunner` — drives any solver variant with periodic
+    atomic checkpoints; rolls back and retries with damped parameters
+    on :class:`~repro.errors.StabilityError`, and falls back to the
+    sequential solver when a parallel worker dies.
 ``chaos``
     :class:`ChaosHarness` / :class:`ChaosReport` — the deterministic
     chaos harness for the fault-tolerant batch scheduler: a fault-free
@@ -48,11 +49,13 @@ from repro.resilience.chaos import (
 )
 from repro.resilience.faults import Fault, FaultInjector, FaultPlan
 from repro.resilience.incident import Incident, IncidentLog, json_safe
-from repro.resilience.runner import ResilientRunner, RetryPolicy
+from repro.resilience.recovery import FailureInfo, RetryPolicy
+from repro.resilience.runner import ResilientRunner
 
 __all__ = [
     "ChaosHarness",
     "ChaosReport",
+    "FailureInfo",
     "Fault",
     "FaultPlan",
     "FaultInjector",

@@ -40,6 +40,8 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.errors import WorkerKilledError
 from repro.resilience.faults import Fault, FaultInjector, FaultPlan
+from repro.resilience.incident import INCIDENTS_NAME, IncidentLog
+from repro.resilience.recovery import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.batch.scheduler import BatchResult, BatchScheduler
@@ -270,14 +272,12 @@ class ChaosHarness:
         same :class:`FaultInjector` instance rides across every resume,
         so its fired-set is preserved and once-faults never replay.
         """
-        from repro.batch.scheduler import BatchRetryPolicy, BatchScheduler
+        from repro.batch.scheduler import BatchScheduler
 
         injector = FaultInjector(plan)
         kwargs = dict(
             self._batch_kwargs(),
-            retry_policy=BatchRetryPolicy(
-                max_attempts=self.max_attempts, tau_damping=1.0
-            ),
+            retry_policy=RetryPolicy(max_attempts=self.max_attempts, tau_damping=1.0),
             checkpoint_every=self.checkpoint_every,
             keep_checkpoints=self.keep_checkpoints,
         )
@@ -334,9 +334,6 @@ class ChaosHarness:
             )
         # The crash-safe on-disk journal spans every pre-kill scheduler
         # incarnation; the final scheduler's in-memory log does not.
-        from repro.batch.scheduler import INCIDENTS_NAME
-        from repro.resilience.incident import IncidentLog
-
         journal = os.path.join(self.workdir, INCIDENTS_NAME)
         if os.path.exists(journal):
             incident_counts = IncidentLog.load(journal).counts()

@@ -5,8 +5,8 @@ that crashes: operators need to know a rollback happened, how often,
 and why.  :class:`IncidentLog` is an append-only, thread-safe event
 journal kept by :class:`~repro.resilience.runner.ResilientRunner` and
 the batch scheduler (and fed by
-:class:`~repro.resilience.faults.FaultInjector`), serialisable to JSON
-for the observability stack.
+:class:`~repro.resilience.faults.FaultInjector`); its JSONL file is the
+one durable record of a job.
 
 The log is **crash-safe** when given a ``jsonl_path``: every
 :meth:`~IncidentLog.record` appends one JSON line and flushes it to the
@@ -27,7 +27,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["Incident", "IncidentLog", "json_safe"]
+__all__ = ["INCIDENTS_NAME", "Incident", "IncidentLog", "json_safe"]
+
+#: Job-journal file name inside a runner or standalone scheduler workdir.
+INCIDENTS_NAME = "incidents.jsonl"
 
 
 def json_safe(value):
@@ -62,11 +65,12 @@ class Incident:
         Monotonic sequence number within the log (total order even when
         events race in from worker threads).
     kind:
-        Event type, e.g. ``"fault_injected"``, ``"checkpoint_saved"``,
-        ``"checkpoint_corrupt"``, ``"stability_rollback"``,
-        ``"worker_failure"``, ``"fallback_sequential"``,
-        ``"run_completed"`` — plus the batch-scheduler kinds
-        ``"slot_ejected"``, ``"job_retry"``, ``"job_quarantined"``,
+        Record kind: the job lifecycle of runner and scheduler alike
+        (``"job_dispatched"``, ``"checkpoint_saved"`` /
+        ``"_corrupt"`` / ``"_unstable"``, ``"job_retry"``,
+        ``"job_completed"``, ``"job_failed"``), ``"fault_injected"``,
+        and the batch-only ``"slot_ejected"``, ``"slot_diverged"``,
+        ``"job_quarantined"``, ``"cancel_requested"``, ``"job_cancelled"``,
         ``"scheduler_resumed"``.
     step:
         Simulation time step the event refers to (``-1`` if not tied to
@@ -231,14 +235,6 @@ class IncidentLog:
             {"events": [e.to_dict() for e in self.events], "counts": self.counts()},
             indent=indent,
         )
-
-    def save(self, path: str | os.PathLike) -> None:
-        """Write the journal atomically to ``path`` (JSON)."""
-        final = os.fspath(path)
-        tmp = final + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-        os.replace(tmp, final)
 
     def __len__(self) -> int:
         with self._lock:

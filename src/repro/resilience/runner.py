@@ -5,95 +5,55 @@ facade with the recovery loop a long-running production deployment
 needs:
 
 * **Periodic atomic checkpoints** — every ``checkpoint_every`` steps
-  the gathered state is validated and written atomically (see
-  :mod:`repro.io.checkpoint`); a rotating window of recent checkpoints
-  is kept so one corrupted file never strands the run.
+  the gathered state is validated and written atomically into a
+  :class:`~repro.io.checkpoint.CheckpointTrail`, whose rotating window
+  of recent checkpoints means one corrupted file never strands the run.
 * **Stability rollback** — a :class:`~repro.errors.StabilityError`
-  (NaN/Inf fields, lattice-Mach violation) rolls the run back to the
-  last good checkpoint and retries with damped parameters (raised
-  ``tau`` → higher viscosity, optionally shrunk ``dt``), up to a
-  bounded number of attempts.
+  (NaN/Inf fields, lattice-Mach violation) or
+  :class:`~repro.errors.InvariantError` rolls the run back to the
+  newest loadable checkpoint and retries with damped ``tau`` under a
+  :class:`~repro.resilience.recovery.RetryPolicy`.
 * **Worker-death fallback** — a :class:`~repro.errors.WorkerError`,
   :class:`~repro.errors.BarrierTimeoutError`, or
   :class:`~repro.errors.CommTimeoutError` from a parallel solver
   rebuilds the run from the last checkpoint on the sequential solver:
-  slower, but alive.
-* **Structured incident log** — every fault, retry, rollback, and
-  recovery is recorded in an :class:`~repro.resilience.incident.IncidentLog`
-  (JSON) for the observability stack.
+  slower, but alive.  The fallback is not charged to the retry budget.
+* **One job journal** — ``incidents.jsonl`` records the run as one job
+  (:data:`JOB_ID`) in the batch scheduler's record kinds, a retry's
+  config naming the damped or the sequential solver, so
+  :func:`~repro.batch.scheduler.replay_journal` folds a runner workdir.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from repro.api import Simulation, SimulationConfig
 from repro.errors import (
     BarrierTimeoutError,
-    CheckpointError,
     CommTimeoutError,
+    ConfigurationError,
     InvariantError,
     LBMIBError,
     StabilityError,
     WorkerError,
 )
-from repro.io.checkpoint import rotate_checkpoints
+from repro.io.checkpoint import DEFAULT_KEEP_CHECKPOINTS, CheckpointTrail
 from repro.resilience.faults import FaultInjector
-from repro.resilience.incident import IncidentLog
+from repro.resilience.incident import INCIDENTS_NAME, IncidentLog
+from repro.resilience.recovery import FailureInfo, RetryPolicy, error_chain
 
-__all__ = ["RetryPolicy", "ResilientRunner"]
+__all__ = ["JOB_ID", "ResilientRunner", "RetryPolicy", "WATCHDOG_TIMEOUT"]
 
+#: Job id naming the runner's one job in its journal.
+JOB_ID = "run"
+#: Barrier/communicator deadline (s) installed into a config that sets none.
+WATCHDOG_TIMEOUT = 30.0
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Knobs of the recovery loop.
-
-    Parameters
-    ----------
-    checkpoint_every:
-        Steps between checkpoints (also the granularity of stability
-        validation — a fault is detected at most this many steps after
-        injection).
-    max_rollbacks:
-        Stability rollbacks allowed before the error is re-raised.
-    tau_damping:
-        Multiplier applied to ``tau`` on every stability retry (> 1
-        raises viscosity, the standard LBM stabilisation).
-    dt_damping:
-        Multiplier applied to ``dt`` on every stability retry (< 1
-        shrinks the step; 1 leaves it alone).
-    keep_checkpoints:
-        Rotating window of on-disk checkpoints to retain.
-    watchdog_timeout:
-        Barrier/communicator deadline installed into the config when it
-        does not set one itself (``None`` = leave the config alone).
-    max_velocity:
-        Lattice-Mach validation threshold (see
-        :meth:`~repro.core.lbm.fields.FluidGrid.validate_stable`).
-    """
-
-    checkpoint_every: int = 10
-    max_rollbacks: int = 3
-    tau_damping: float = 1.25
-    dt_damping: float = 1.0
-    keep_checkpoints: int = 2
-    watchdog_timeout: float | None = 30.0
-    max_velocity: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if self.max_rollbacks < 0:
-            raise ValueError("max_rollbacks must be >= 0")
-        if self.tau_damping < 1.0:
-            raise ValueError("tau_damping must be >= 1 (damping raises viscosity)")
-        if not 0.0 < self.dt_damping <= 1.0:
-            raise ValueError("dt_damping must be in (0, 1]")
-        if self.keep_checkpoints < 1:
-            raise ValueError("keep_checkpoints must be >= 1")
+_WORKER_DEATH = (WorkerError, BarrierTimeoutError, CommTimeoutError)
 
 
 def _root_cause(exc: BaseException) -> BaseException:
@@ -109,12 +69,13 @@ class ResilientRunner:
     Parameters
     ----------
     config:
-        The run description; any solver variant.
+        The run description; any solver variant.  Without a
+        ``barrier_timeout`` it gets :data:`WATCHDOG_TIMEOUT`.
     workdir:
-        Directory for checkpoints and the incident log (created if
+        Directory for checkpoints and the job journal (created if
         missing).
     policy:
-        Recovery knobs; defaults are production-ish.
+        Retry budget and damping; defaults to ``RetryPolicy()``.
     fault_injector:
         Optional injector (tests wire planned faults through it; it is
         also attached to the incident log so injections are journaled).
@@ -128,9 +89,15 @@ class ResilientRunner:
         checkpoint and retry with damped parameters.
     telemetry:
         Optional :class:`~repro.observe.Telemetry` attached to every
-        simulation this runner builds; each incident kind additionally
+        simulation this runner builds; each record kind additionally
         bumps a ``resilience.<kind>`` counter in its metrics registry,
-        mirroring the incident log as queryable metrics.
+        mirroring the journal as queryable metrics.
+    checkpoint_every:
+        Steps between checkpoints (also the granularity of stability
+        validation — a fault is detected at most this many steps after
+        injection).
+    keep_checkpoints:
+        Rotating window of on-disk checkpoints to retain.
     """
 
     def __init__(
@@ -141,95 +108,58 @@ class ResilientRunner:
         fault_injector: FaultInjector | None = None,
         invariants=None,
         telemetry=None,
+        checkpoint_every: int = 10,
+        keep_checkpoints: int = DEFAULT_KEEP_CHECKPOINTS,
     ) -> None:
+        if checkpoint_every < 1:
+            raise ConfigurationError(
+                f"checkpoint_every must be >= 1, got {checkpoint_every}"
+            )
         self.policy = policy or RetryPolicy()
-        if (
-            self.policy.watchdog_timeout is not None
-            and config.barrier_timeout is None
-        ):
-            config = replace(config, barrier_timeout=self.policy.watchdog_timeout)
+        if config.barrier_timeout is None:
+            config = replace(config, barrier_timeout=WATCHDOG_TIMEOUT)
         self.config = config
+        self.checkpoint_every = checkpoint_every
         self.workdir = os.fspath(workdir)
         os.makedirs(self.workdir, exist_ok=True)
-        # Crash-safe journal: every record is an appended, flushed JSON
-        # line, so a killed worker leaves a readable tail on disk (the
-        # atomic incidents.json snapshot is still written on success).
+        # Crash-safe journal: every record is an appended, fsync'd JSON
+        # line, so a killed worker leaves a readable tail on disk.
         self.incidents = IncidentLog(
-            jsonl_path=os.path.join(self.workdir, "incidents.jsonl")
+            jsonl_path=os.path.join(self.workdir, INCIDENTS_NAME)
         )
         self.fault_injector = fault_injector
         self.invariants = invariants
         self.telemetry = telemetry
         if fault_injector is not None and fault_injector.incident_log is None:
             fault_injector.incident_log = self.incidents
-        self._checkpoints: list[tuple[str, int]] = []  # (path, step), oldest first
+        self.trail = CheckpointTrail(
+            self.workdir,
+            self._record,
+            JOB_ID,
+            keep=keep_checkpoints,
+            fault_injector=fault_injector,
+        )
 
     def _record(self, kind: str, **fields) -> None:
-        """Journal an incident and mirror it as a resilience counter."""
+        """Journal one record and mirror it as a resilience counter."""
         self.incidents.record(kind, **fields)
         if self.telemetry is not None:
             self.telemetry.metrics.counter(f"resilience.{kind}").inc()
 
-    # ------------------------------------------------------------------
-    # checkpoint management
-    # ------------------------------------------------------------------
-    def _checkpoint_path(self, step: int) -> str:
-        return os.path.join(self.workdir, f"ckpt-{step:08d}.npz")
-
-    def _save_checkpoint(self, sim: Simulation) -> None:
-        step = sim.time_step
-        path = self._checkpoint_path(step)
-        sim.checkpoint(path)
-        if self.fault_injector is not None:
-            # Gives truncate_checkpoint faults their shot at the file —
-            # simulating a crash mid-write on a pre-atomic store.
-            self.fault_injector.after_checkpoint(path, step)
-        self._checkpoints = [(p, s) for p, s in self._checkpoints if s != step]
-        self._checkpoints.append((path, step))
-        self._record("checkpoint_saved", step=step, path=path)
-        self._checkpoints = rotate_checkpoints(
-            self._checkpoints, self.policy.keep_checkpoints
-        )
-
-    def _attach_invariants(self, sim: Simulation) -> Simulation:
-        """Attach the invariant suite, rebinding baselines to this state."""
+    def _build(self, config: SimulationConfig, state=None) -> Simulation:
+        """A simulation under ``config``, from ``state`` or from scratch,
+        with telemetry and the invariant suite (rebound to this state)."""
+        names = ("initial_fluid", "initial_structure", "initial_step")
+        restored = dict(zip(names, state or ()))
+        sim = Simulation(config, fault_injector=self.fault_injector, **restored)
         if self.telemetry is not None:
             sim.attach_telemetry(self.telemetry)
         if self.invariants is not None:
             sim.attach_invariants(self.invariants)
         return sim
 
-    def _restore(self, config: SimulationConfig) -> Simulation:
-        """Newest loadable checkpoint wins; corrupt ones are discarded."""
-        while self._checkpoints:
-            path, step = self._checkpoints[-1]
-            try:
-                sim = Simulation.from_checkpoint(
-                    path, config, fault_injector=self.fault_injector
-                )
-            except CheckpointError as exc:
-                self._checkpoints.pop()
-                self._record(
-                    "checkpoint_corrupt", step=step, path=path, error=str(exc)
-                )
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-                continue
-            self._record("restored", step=step, path=path)
-            return self._attach_invariants(sim)
-        self._record("restart_from_initial", step=0)
-        return self._attach_invariants(
-            Simulation(config, fault_injector=self.fault_injector)
-        )
-
-    # ------------------------------------------------------------------
-    # validation
-    # ------------------------------------------------------------------
     def _validate(self, sim: Simulation) -> None:
-        fluid = sim.fluid  # gathered copy for cube/distributed layouts
-        fluid.validate_stable(max_velocity=self.policy.max_velocity)
+        sim.fluid.validate_stable()  # gathered copy for cube/distributed layouts
         structure = sim.structure
         if structure is not None:
             for sheet in structure.sheets:
@@ -239,89 +169,90 @@ class ResilientRunner:
                         "structure solver has become unstable"
                     )
 
-    # ------------------------------------------------------------------
-    # recovery loop
-    # ------------------------------------------------------------------
-    def _dampened(self, config: SimulationConfig) -> SimulationConfig:
-        new_tau = config.effective_tau * self.policy.tau_damping
-        new_dt = config.dt * self.policy.dt_damping
-        return replace(config, tau=new_tau, viscosity=None, dt=new_dt)
+    def _fail(
+        self, exc: BaseException, cause: BaseException, step: int, attempt: int
+    ) -> None:
+        """Journal ``job_failed`` for an error about to be re-raised."""
+        failure = FailureInfo(
+            job_id=JOB_ID,
+            error_type=type(cause).__name__,
+            message=str(cause),
+            invariant=getattr(cause, "invariant", ""),
+            failing_step=step,
+            slot=-1,
+            attempt=attempt,
+            chain=error_chain(exc),
+            incident_log=self.incidents.jsonl_path,
+        )
+        self._record(
+            "job_failed",
+            step=step,
+            job=JOB_ID,
+            status="failed",
+            attempt=attempt,
+            failure=failure.to_dict(),
+        )
 
     def run(self, num_steps: int) -> Simulation:
         """Advance ``num_steps`` steps, surviving planned-for failures.
 
         Returns the (possibly rebuilt) simulation at the target step.
-        Raises the final :class:`~repro.errors.StabilityError` once the
-        rollback budget is exhausted, and re-raises worker failures
-        only when already on the sequential solver (nothing left to
-        fall back to).
+        Re-raises the final :class:`~repro.errors.StabilityError` once
+        the retry budget is exhausted, worker failures only when already
+        on the sequential solver (nothing left to fall back to), and any
+        other error at once — each after journaling ``job_failed``.
         """
         if num_steps < 0:
             raise ValueError(f"num_steps must be non-negative, got {num_steps}")
         config = self.config
-        sim = self._attach_invariants(
-            Simulation(config, fault_injector=self.fault_injector)
-        )
-        rollbacks = 0
+        sim = self._build(config)
         self._record(
-            "run_started", step=0, solver=config.solver, target=num_steps
+            "job_dispatched",
+            job=JOB_ID,
+            order=0,
+            config=config.to_dict(),
+            num_steps=int(num_steps),
+            init_checkpoint=None,
         )
+        attempt = 1
+        failures = 0  # stability failures: what the retry budget counts
         while sim.time_step < num_steps:
-            chunk = min(self.policy.checkpoint_every, num_steps - sim.time_step)
+            chunk = min(self.checkpoint_every, num_steps - sim.time_step)
             failed_step = sim.time_step
             try:
                 sim.run(chunk)
                 self._validate(sim)
             except LBMIBError as exc:
                 cause = _root_cause(exc)
+                retry = None
                 if isinstance(cause, (StabilityError, InvariantError)):
-                    rollbacks += 1
-                    self._record(
-                        "stability_rollback",
-                        step=failed_step,
-                        attempt=rollbacks,
-                        error=str(cause),
-                    )
-                    if rollbacks > self.policy.max_rollbacks:
-                        self._record(
-                            "gave_up", step=failed_step, rollbacks=rollbacks
-                        )
-                        raise
-                    config = self._dampened(config)
-                    self._record(
-                        "retry_dampened",
-                        step=failed_step,
-                        tau=config.effective_tau,
-                        dt=config.dt,
-                    )
-                elif isinstance(
-                    cause, (WorkerError, BarrierTimeoutError, CommTimeoutError)
-                ) or isinstance(exc, (WorkerError, BarrierTimeoutError, CommTimeoutError)):
-                    self._record(
-                        "worker_failure",
-                        step=failed_step,
-                        solver=config.solver,
-                        error=str(cause),
-                    )
-                    if config.solver == "sequential":
-                        self._record("gave_up", step=failed_step)
-                        raise
-                    config = replace(config, solver="sequential", num_threads=1)
-                    self._record("fallback_sequential", step=failed_step)
-                else:
-                    self._record(
-                        "unrecoverable", step=failed_step, error=str(cause)
-                    )
+                    failures += 1
+                    if failures < self.policy.max_attempts:
+                        retry = self.policy.damped(config)
+                elif isinstance(exc, _WORKER_DEATH):
+                    if config.solver != "sequential":
+                        retry = replace(config, solver="sequential", num_threads=1)
+                if retry is None:
+                    self._fail(exc, cause, failed_step, attempt)
                     raise
+                config = retry
+                attempt += 1
                 sim.close()
-                sim = self._restore(config)
+                sim = self._build(config, self.trail.restore())
+                self._record(
+                    "job_retry",
+                    step=failed_step,
+                    job=JOB_ID,
+                    attempt=attempt,
+                    from_step=sim.time_step,
+                    tau=config.effective_tau,
+                    config=config.to_dict(),
+                    error=str(cause),
+                )
                 continue
-            self._save_checkpoint(sim)
+            sim.checkpoint(self.trail.path(sim.time_step))
+            self.trail.saved(sim.time_step)
         self._record(
-            "run_completed",
-            step=sim.time_step,
-            solver=config.solver,
-            rollbacks=rollbacks,
+            "job_completed", step=sim.time_step, job=JOB_ID, attempt=attempt
         )
-        self.incidents.save(os.path.join(self.workdir, "incidents.json"))
         return sim

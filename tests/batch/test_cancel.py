@@ -132,6 +132,44 @@ class TestCancelRunning:
             assert scheduler.job_status(result.job_id) == result.status
 
 
+class TestCancelCompletionRace:
+    def test_cancel_between_drain_and_completion_wins(self):
+        """A cancel acknowledged after the step boundary's drain, on the
+        job's final step, retires the job cancelled, not completed."""
+        scheduler = BatchScheduler(max_batch=2)
+        drain = scheduler._cancel_requested
+        acks: list[bool] = []
+
+        def racing_drain(job_id: str) -> bool:
+            pending = drain(job_id)
+            # The drain for a running slot (admission pops see "queued"):
+            # another thread cancels right after it returns.
+            running = scheduler.job_status(job_id) == "running"
+            if job_id == "victim" and running and not acks:
+                acks.append(scheduler.cancel(job_id))
+            return pending
+
+        scheduler._cancel_requested = racing_drain
+        _submit_seeded(scheduler, "victim", seed=0, steps=1)
+        _submit_seeded(scheduler, "sib", seed=1, steps=3)
+        results = scheduler.run()
+
+        assert acks == [True]
+        assert results["victim"].status == "cancelled"
+        assert scheduler.job_status("victim") == "cancelled"
+        kinds = [
+            e.kind
+            for e in scheduler.incidents.events
+            if e.detail.get("job") == "victim"
+        ]
+        assert "job_cancelled" in kinds
+        assert "job_completed" not in kinds
+        assert results["sib"].ok
+        assert fields_digest(
+            results["sib"].fluid, results["sib"].structure
+        ) == _solo_digest(1, 3)
+
+
 class TestCancelPersistence:
     def test_cancelled_status_survives_resume(self, tmp_path):
         scheduler = BatchScheduler(max_batch=2, workdir=tmp_path)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.batch import BatchRetryPolicy, BatchScheduler
+from repro.batch import BatchScheduler, RetryPolicy
 from repro.config import SimulationConfig, StructureConfig
 from repro.errors import CheckpointError, ConfigurationError, WorkerKilledError
 from repro.observe import Telemetry
@@ -54,7 +54,7 @@ class TestRetryLifecycle:
         scheduler = BatchScheduler(
             max_batch=1,
             telemetry=telemetry,
-            retry_policy=BatchRetryPolicy(max_attempts=3, tau_damping=1.0),
+            retry_policy=RetryPolicy(max_attempts=3, tau_damping=1.0),
             guard=True,
             workdir=tmp_path,
             checkpoint_every=2,
@@ -73,7 +73,7 @@ class TestRetryLifecycle:
     def test_damped_retry_runs_in_new_group_and_completes(self):
         scheduler = BatchScheduler(
             max_batch=2,
-            retry_policy=BatchRetryPolicy(max_attempts=3, tau_damping=1.25),
+            retry_policy=RetryPolicy(max_attempts=3, tau_damping=1.25),
             guard=True,
             fault_injector=FaultInjector([_corrupt_fault(step=2)]),
         )
@@ -89,7 +89,7 @@ class TestRetryLifecycle:
     def test_exhausted_retries_produce_structured_failure(self, tmp_path):
         scheduler = BatchScheduler(
             max_batch=1,
-            retry_policy=BatchRetryPolicy(max_attempts=2, tau_damping=1.0),
+            retry_policy=RetryPolicy(max_attempts=2, tau_damping=1.0),
             guard=True,
             workdir=tmp_path,
             checkpoint_every=2,
@@ -119,7 +119,7 @@ class TestRetryLifecycle:
         scheduler = BatchScheduler(
             max_batch=1,
             telemetry=telemetry,
-            retry_policy=BatchRetryPolicy(max_attempts=5, tau_damping=1.0),
+            retry_policy=RetryPolicy(max_attempts=5, tau_damping=1.0),
             guard=True,
             quarantine_after=2,
             fault_injector=FaultInjector([_corrupt_fault(step=2, once=False)]),
@@ -146,9 +146,9 @@ class TestRetryLifecycle:
 
     def test_invalid_policy_and_knobs_rejected(self):
         with pytest.raises(ConfigurationError):
-            BatchRetryPolicy(max_attempts=0)
+            RetryPolicy(max_attempts=0)
         with pytest.raises(ConfigurationError):
-            BatchRetryPolicy(tau_damping=0.9)
+            RetryPolicy(tau_damping=0.9)
         with pytest.raises(ConfigurationError):
             BatchScheduler(checkpoint_every=2)  # needs a workdir
         with pytest.raises(ConfigurationError):
@@ -173,7 +173,7 @@ class TestCheckpointPersistence:
         golden = _golden_digests([_config()], 8)
         scheduler = BatchScheduler(
             max_batch=1,
-            retry_policy=BatchRetryPolicy(max_attempts=3, tau_damping=1.0),
+            retry_policy=RetryPolicy(max_attempts=3, tau_damping=1.0),
             guard=True,
             workdir=tmp_path,
             checkpoint_every=2,
@@ -203,7 +203,7 @@ class TestCheckpointPersistence:
         injector = FaultInjector([Fault(kind="kill_worker", step=5, tid=0)])
         kwargs = dict(
             max_batch=2,
-            retry_policy=BatchRetryPolicy(max_attempts=3, tau_damping=1.0),
+            retry_policy=RetryPolicy(max_attempts=3, tau_damping=1.0),
             guard=True,
             checkpoint_every=2,
         )

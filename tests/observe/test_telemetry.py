@@ -5,7 +5,7 @@ import pytest
 from repro.api import Simulation
 from repro.config import SimulationConfig, StructureConfig
 from repro.observe import Telemetry
-from repro.resilience.runner import ResilientRunner, RetryPolicy
+from repro.resilience.runner import ResilientRunner
 from repro.verify.invariants import InvariantSuite
 from repro.verify.oracle import DifferentialOracle
 
@@ -84,15 +84,15 @@ class TestRunnerWiring:
         runner = ResilientRunner(
             _config(),
             tmp_path,
-            policy=RetryPolicy(checkpoint_every=2),
             telemetry=telemetry,
+            checkpoint_every=2,
         )
         sim = runner.run(4)
         sim.close()
         counters = telemetry.metrics.snapshot()["counters"]
-        assert counters["resilience.run_started"] == 1
+        assert counters["resilience.job_dispatched"] == 1
         assert counters["resilience.checkpoint_saved"] == 2
-        assert counters["resilience.run_completed"] == 1
+        assert counters["resilience.job_completed"] == 1
         assert counters["sim.steps"] == 4
 
 

@@ -7,8 +7,8 @@ bit-identical to its fault-free run (``max_abs_delta == 0.0``), and
 healthy sibling slots are never perturbed.
 
 ``LBMIB_CHAOS_DIR`` (set by the CI chaos job) redirects the harness
-workdirs to a stable location so incident journals and resume
-manifests survive as forensic artifacts when the invariant breaks.
+workdirs to a stable location so the job journals, which resume
+replays, survive as forensic artifacts when the invariant breaks.
 """
 
 import os

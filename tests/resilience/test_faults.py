@@ -163,18 +163,16 @@ class TestCheckpointFault:
 
 class TestIncidentLog:
     def test_json_round_trip(self, tmp_path):
-        import json
-
-        log = IncidentLog()
+        out = tmp_path / "incidents.jsonl"
+        log = IncidentLog(jsonl_path=out)
         log.record("fault_injected", step=4, fault={"kind": "kill_worker"})
-        log.record("stability_rollback", step=10, attempt=1)
-        log.record("stability_rollback", step=10, attempt=2)
-        out = tmp_path / "incidents.json"
-        log.save(out)
-        doc = json.loads(out.read_text())
-        assert doc["counts"] == {"fault_injected": 1, "stability_rollback": 2}
-        assert [e["seq"] for e in doc["events"]] == [0, 1, 2]
-        assert doc["events"][0]["detail"]["fault"]["kind"] == "kill_worker"
+        log.record("job_retry", step=10, attempt=2)
+        log.record("job_retry", step=10, attempt=3)
+        log.close()
+        loaded = IncidentLog.load(out)
+        assert loaded.counts() == {"fault_injected": 1, "job_retry": 2}
+        assert [e.seq for e in loaded.events] == [0, 1, 2]
+        assert loaded.events[0].detail["fault"]["kind"] == "kill_worker"
 
     def test_thread_safe_sequencing(self):
         log = IncidentLog()

@@ -39,9 +39,10 @@ class TestRollbackPreservesInvariants:
         runner = ResilientRunner(
             config,
             tmp_path,
-            policy=RetryPolicy(checkpoint_every=5, max_rollbacks=3),
+            policy=RetryPolicy(max_attempts=4),
             fault_injector=FaultInjector(plan),
             invariants=suite,
+            checkpoint_every=5,
         )
         sim = runner.run(12)
         try:
@@ -50,11 +51,10 @@ class TestRollbackPreservesInvariants:
             # the violation was caught as a typed invariant failure and
             # handled exactly like a stability blow-up
             log = runner.incidents
-            assert log.count("stability_rollback") == 1
-            assert log.count("run_completed") == 1
-            (restored,) = log.events_of("restored")
-            assert restored.step == 5
-            (retry,) = log.events_of("retry_dampened")
+            assert log.count("job_retry") == 1
+            assert log.count("job_completed") == 1
+            (retry,) = log.events_of("job_retry")
+            assert retry.detail["from_step"] == 5
             assert retry.detail["tau"] > config.effective_tau
             # the rebound suite checked every step of the retried run
             assert sim.invariants is suite
@@ -71,13 +71,14 @@ class TestRollbackPreservesInvariants:
         runner = ResilientRunner(
             config,
             tmp_path,
-            policy=RetryPolicy(checkpoint_every=5, max_rollbacks=1),
+            policy=RetryPolicy(max_attempts=2),
             fault_injector=FaultInjector(plan),
             invariants=InvariantSuite.default(config),
+            checkpoint_every=5,
         )
         with pytest.raises(InvariantError):
             runner.run(10)
-        assert runner.incidents.count("gave_up") == 1
+        assert runner.incidents.count("job_failed") == 1
 
     def test_cube_solver_rollback_with_invariants(self, tmp_path):
         """Same story on the cube solver: the worker sentinel raises,
@@ -90,15 +91,16 @@ class TestRollbackPreservesInvariants:
         runner = ResilientRunner(
             config,
             tmp_path,
-            policy=RetryPolicy(checkpoint_every=5, max_rollbacks=3),
+            policy=RetryPolicy(max_attempts=4),
             fault_injector=FaultInjector(plan),
             invariants=suite,
+            checkpoint_every=5,
         )
         sim = runner.run(10)
         try:
             assert sim.time_step == 10
-            assert runner.incidents.count("stability_rollback") >= 1
-            assert runner.incidents.count("run_completed") == 1
+            assert runner.incidents.count("job_retry") >= 1
+            assert runner.incidents.count("job_completed") == 1
             suite.check_simulation(sim)
         finally:
             sim.close()
