@@ -6,7 +6,8 @@ compared here against the barrier-based cube solver on the same input:
 * dynamic task scheduling instead of global barriers
   (:class:`~repro.parallel.AsyncCubeLBMIBSolver`),
 * distributed memory via message passing
-  (:class:`~repro.distributed.DistributedLBMIBSolver`),
+  (:class:`~repro.distributed.DistributedLBMIBSolver`, with rank slabs
+  in the global or the cube-centric layout),
 * auto-tuning of the cube size (:mod:`repro.tuning`).
 """
 
@@ -17,7 +18,7 @@ import pytest
 from repro.config import SimulationConfig, StructureConfig
 from repro.core.ib import geometry
 from repro.core.lbm.fields import FluidGrid
-from repro.distributed import DistributedLBMIBSolver, HybridCubeLBMIBSolver
+from repro.distributed import DistributedLBMIBSolver
 from repro.io.csvout import write_csv
 from repro.machine.spec import thog
 from repro.parallel import AsyncCubeLBMIBSolver, CubeGrid, CubeLBMIBSolver
@@ -105,7 +106,7 @@ def test_distributed_solver_step(benchmark, emit, results_dir):
 def test_hybrid_distributed_cube_step(benchmark, emit, results_dir):
     """The cube layout inside every rank — the paper's exact future work."""
     grid, structure = _state()
-    solver = HybridCubeLBMIBSolver(grid, structure, num_ranks=2, cube_size=4)
+    solver = DistributedLBMIBSolver(grid, structure, num_ranks=2, cube_size=4)
     solver.run(1)
     benchmark(solver.run, 1)
     emit(
@@ -116,7 +117,7 @@ def test_hybrid_distributed_cube_step(benchmark, emit, results_dir):
                 [
                     solver.num_ranks,
                     solver.cube_size,
-                    "/".join(str(n) for n in solver.slab_sizes),
+                    "/".join(str(slab.size) for slab in solver.slabs),
                     solver.comm.total_messages(),
                     solver.comm.total_bytes_sent(),
                 ]

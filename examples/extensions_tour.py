@@ -5,9 +5,10 @@ Runs the same small FSI problem through:
 
 1. the barrier-based cube solver (paper Algorithm 4),
 2. the dynamic-task-scheduled cube solver (no intra-step barriers),
-3. the distributed-memory solver (rank slabs + halo messages),
+3. the distributed-memory solver (rank slabs + halo messages), with
+   each rank's slab in the global layout and then in the cube layout,
 
-verifies all three agree with the sequential program, then auto-tunes
+verifies all of them agree with the sequential program, then auto-tunes
 the cube size and checkpoints/restores the run.
 
 Run:  python examples/extensions_tour.py
@@ -23,7 +24,7 @@ from repro.config import SimulationConfig, StructureConfig
 from repro.core.ib import geometry
 from repro.core.lbm.fields import FluidGrid
 from repro.core.solver import SequentialLBMIBSolver
-from repro.distributed import DistributedLBMIBSolver, HybridCubeLBMIBSolver
+from repro.distributed import DistributedLBMIBSolver
 from repro.io import load_checkpoint, save_checkpoint
 from repro.machine.spec import thog
 from repro.parallel import AsyncCubeLBMIBSolver, CubeGrid, CubeLBMIBSolver
@@ -79,11 +80,11 @@ def main() -> None:
 
     print("\n4. hybrid: cube layout inside every distributed rank")
     grid, structure = make_state()
-    hybrid = HybridCubeLBMIBSolver(grid, structure, num_ranks=2, cube_size=4)
+    hybrid = DistributedLBMIBSolver(grid, structure, num_ranks=2, cube_size=4)
     hybrid.run(STEPS)
     assert ref_grid.state_allclose(hybrid.gather_fluid(), rtol=1e-10, atol=1e-12)
     print(
-        f"   MATCH; rank slabs of {hybrid.slab_sizes} planes, "
+        f"   MATCH; rank slabs of {[slab.size for slab in hybrid.slabs]} planes, "
         f"{hybrid.comm.total_messages()} halo messages"
     )
 

@@ -341,31 +341,18 @@ class Simulation:
         if self._solver is not None:
             return self._solver
         config = self.config
-        if config.solver == "distributed":
-            from repro.distributed.solver import DistributedLBMIBSolver
+        from repro.distributed.solver import DistributedLBMIBSolver
 
-            self._solver = DistributedLBMIBSolver(
-                self._fluid,
-                self._built_structure,
-                num_ranks=config.num_threads,
-                delta=self._delta,
-                boundaries=self._boundaries,
-                dt=config.dt,
-                external_force=config.external_force,
-            )
-        else:
-            from repro.distributed.hybrid import HybridCubeLBMIBSolver
-
-            self._solver = HybridCubeLBMIBSolver(
-                self._fluid,
-                self._built_structure,
-                num_ranks=config.num_threads,
-                cube_size=config.cube_size,
-                delta=self._delta,
-                boundaries=self._boundaries,
-                dt=config.dt,
-                external_force=config.external_force,
-            )
+        self._solver = DistributedLBMIBSolver(
+            self._fluid,
+            self._built_structure,
+            num_ranks=config.num_threads,
+            cube_size=config.cube_size if config.solver == "hybrid" else None,
+            delta=self._delta,
+            boundaries=self._boundaries,
+            dt=config.dt,
+            external_force=config.external_force,
+        )
         self._solver.time_step = self._initial_step
         if self.fault_injector is not None:
             self._solver.comm.fault_injector = self.fault_injector

@@ -150,8 +150,9 @@ class SimulationConfig:
         AA-pattern streaming: the fused kernels without ``df_new``,
         halving the lattice footprint), ``"async_cube"``
         (task-scheduled, barrier-free), ``"distributed"``
-        (message-passing rank slabs), ``"hybrid"`` (distributed
-        ranks with cube-centric local layout), or ``"batched"``
+        (message-passing rank slabs), ``"hybrid"`` (``"distributed"``
+        with every rank slab stored in the cube layout of
+        ``cube_size``), or ``"batched"``
         (the fused kernels over a leading batch axis; a single
         simulation runs as a batch of one, many compatible ones run
         through :class:`repro.batch.scheduler.BatchScheduler`).

@@ -3,14 +3,14 @@
 ``comm``    — simulated MPI-like communicator (thread ranks, copied
               message payloads, barriers, allreduce, traffic counters)
 ``solver``  — x-slab rank decomposition with halo exchange of the
-              rank-crossing populations and a replicated structure
-``hybrid``  — the same rank decomposition with the *cube-centric* data
-              layout inside every rank (the paper's exact future-work
-              sentence: distributed memory for the cube implementation)
+              rank-crossing populations and a replicated structure;
+              each rank stores its slab in the global layout or, with
+              ``cube_size``, in the *cube-centric* layout (the paper's
+              exact future-work sentence: distributed memory for the
+              cube implementation)
 """
 
 from repro.distributed.comm import CommStats, RankComm, SimulatedComm
-from repro.distributed.hybrid import HybridCubeLBMIBSolver
 from repro.distributed.solver import DistributedLBMIBSolver
 
 __all__ = [
@@ -18,5 +18,4 @@ __all__ = [
     "RankComm",
     "SimulatedComm",
     "DistributedLBMIBSolver",
-    "HybridCubeLBMIBSolver",
 ]

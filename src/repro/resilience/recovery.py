@@ -6,6 +6,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 from repro.config import SimulationConfig
@@ -39,10 +40,10 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.tau_damping < 1.0:
+        if not math.isfinite(self.tau_damping) or self.tau_damping < 1.0:
             raise ConfigurationError(
-                "tau_damping must be >= 1 (damping raises viscosity), "
-                f"got {self.tau_damping}"
+                "tau_damping must be finite and >= 1 (damping raises "
+                f"viscosity), got {self.tau_damping}"
             )
 
     def damped(self, config: SimulationConfig) -> SimulationConfig:

@@ -13,6 +13,8 @@ from repro.errors import ConfigurationError
 SHAPE = (12, 8, 8)
 STEPS = 6
 RTOL, ATOL = 1e-10, 1e-12
+#: Rank-local layouts: global-layout slabs, or rows of 4-cubes.
+LAYOUTS, LAYOUT_IDS = [None, 4], ["slab", "cube"]
 
 
 def _make_state(with_structure=True):
@@ -43,10 +45,13 @@ class TestEquivalence:
         assert ref_grid.state_allclose(solver.gather_fluid(), rtol=RTOL, atol=ATOL)
         assert ref_structure.state_allclose(solver.structure, rtol=RTOL, atol=ATOL)
 
-    def test_replicas_stay_bitwise_identical(self):
+    @pytest.mark.parametrize("cube_size", LAYOUTS, ids=LAYOUT_IDS)
+    def test_replicas_stay_bitwise_identical(self, cube_size):
         """Every rank must hold the same structure after any run."""
         grid, structure = _make_state()
-        solver = DistributedLBMIBSolver(grid, structure, num_ranks=3)
+        solver = DistributedLBMIBSolver(
+            grid, structure, num_ranks=3, cube_size=cube_size
+        )
         solver.run(STEPS)
         assert solver.structures_consistent(rtol=0.0, atol=0.0)
 
@@ -118,9 +123,10 @@ class TestCommunicationPattern:
         # each rank sends one right-going and one left-going halo per step
         assert solver.comm.total_messages() == 3 * 2 * 4
 
-    def test_halo_bytes(self):
+    @pytest.mark.parametrize("cube_size", LAYOUTS, ids=LAYOUT_IDS)
+    def test_halo_bytes(self, cube_size):
         grid, _ = _make_state(with_structure=False)
-        solver = DistributedLBMIBSolver(grid, None, num_ranks=2)
+        solver = DistributedLBMIBSolver(grid, None, num_ranks=2, cube_size=cube_size)
         solver.run(1)
         ny, nz = SHAPE[1], SHAPE[2]
         per_message = 5 * ny * nz * 8  # five populations, doubles

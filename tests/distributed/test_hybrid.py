@@ -7,7 +7,7 @@ from repro.core.ib import geometry
 from repro.core.lbm.boundaries import BounceBackWall, OutflowBoundary
 from repro.core.lbm.fields import FluidGrid
 from repro.core.solver import SequentialLBMIBSolver
-from repro.distributed import HybridCubeLBMIBSolver
+from repro.distributed import DistributedLBMIBSolver
 from repro.errors import PartitionError
 
 SHAPE = (16, 8, 8)
@@ -38,7 +38,7 @@ class TestEquivalence:
     def test_matches_sequential(self, sequential_result, ranks, k):
         ref_grid, ref_structure = sequential_result
         grid, structure = _make_state()
-        solver = HybridCubeLBMIBSolver(grid, structure, num_ranks=ranks, cube_size=k)
+        solver = DistributedLBMIBSolver(grid, structure, num_ranks=ranks, cube_size=k)
         solver.run(STEPS)
         assert ref_grid.state_allclose(solver.gather_fluid(), rtol=RTOL, atol=ATOL)
         assert ref_structure.state_allclose(solver.structure, rtol=RTOL, atol=ATOL)
@@ -53,7 +53,7 @@ class TestEquivalence:
         ref_grid, ref_structure = _make_state()
         SequentialLBMIBSolver(ref_grid, ref_structure, boundaries=boundaries).run(STEPS)
         grid, structure = _make_state()
-        solver = HybridCubeLBMIBSolver(
+        solver = DistributedLBMIBSolver(
             grid, structure, num_ranks=2, cube_size=4, boundaries=boundaries
         )
         solver.run(STEPS)
@@ -65,7 +65,7 @@ class TestEquivalence:
         grid_a.initialize_equilibrium(velocity=0.01 * rng.standard_normal((3,) + SHAPE))
         grid_b = grid_a.copy()
         SequentialLBMIBSolver(grid_a, None).run(STEPS)
-        solver = HybridCubeLBMIBSolver(grid_b, None, num_ranks=2, cube_size=2)
+        solver = DistributedLBMIBSolver(grid_b, None, num_ranks=2, cube_size=2)
         solver.run(STEPS)
         assert grid_a.state_allclose(solver.gather_fluid(), rtol=RTOL, atol=ATOL)
 
@@ -74,7 +74,7 @@ class TestEquivalence:
         grid_a, struct_a = _make_state()
         SequentialLBMIBSolver(grid_a, struct_a, external_force=force).run(STEPS)
         grid_b, struct_b = _make_state()
-        solver = HybridCubeLBMIBSolver(
+        solver = DistributedLBMIBSolver(
             grid_b, struct_b, num_ranks=2, cube_size=4, external_force=force
         )
         solver.run(STEPS)
@@ -85,8 +85,8 @@ class TestEquivalence:
         ref_grid, ref_structure = _make_state()
         SequentialLBMIBSolver(ref_grid, ref_structure).run(STEPS)
         grid, structure = _make_state()
-        solver = HybridCubeLBMIBSolver(grid, structure, num_ranks=3, cube_size=4)
-        assert solver.slab_sizes == [8, 4, 4]
+        solver = DistributedLBMIBSolver(grid, structure, num_ranks=3, cube_size=4)
+        assert [slab.size for slab in solver.slabs] == [8, 4, 4]
         solver.run(STEPS)
         assert ref_grid.state_allclose(solver.gather_fluid(), rtol=RTOL, atol=ATOL)
 
@@ -95,20 +95,20 @@ class TestValidation:
     def test_rejects_more_ranks_than_cube_rows(self):
         grid, structure = _make_state()
         with pytest.raises(PartitionError, match="rank slabs"):
-            HybridCubeLBMIBSolver(grid, structure, num_ranks=5, cube_size=4)
+            DistributedLBMIBSolver(grid, structure, num_ranks=5, cube_size=4)
 
     def test_rejects_indivisible_yz(self):
         grid = FluidGrid((16, 10, 8), tau=0.8)
         with pytest.raises(PartitionError, match="y/z"):
-            HybridCubeLBMIBSolver(grid, None, num_ranks=2, cube_size=4)
+            DistributedLBMIBSolver(grid, None, num_ranks=2, cube_size=4)
 
     def test_rejects_indivisible_x(self):
         grid = FluidGrid((18, 8, 8), tau=0.8)
         with pytest.raises(PartitionError):
-            HybridCubeLBMIBSolver(grid, None, num_ranks=2, cube_size=4)
+            DistributedLBMIBSolver(grid, None, num_ranks=2, cube_size=4)
 
     def test_halo_traffic_counted(self):
         grid, _ = _make_state(with_structure=False)
-        solver = HybridCubeLBMIBSolver(grid, None, num_ranks=2, cube_size=4)
+        solver = DistributedLBMIBSolver(grid, None, num_ranks=2, cube_size=4)
         solver.run(2)
         assert solver.comm.total_messages() == 2 * 2 * 2  # ranks x sides x steps

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.core.ib import geometry
 from repro.core.lbm.fields import FluidGrid
 from repro.core.solver import SequentialLBMIBSolver
-from repro.distributed import DistributedLBMIBSolver, HybridCubeLBMIBSolver
+from repro.distributed import DistributedLBMIBSolver
 from repro.parallel import (
     AsyncCubeLBMIBSolver,
     CubeGrid,
@@ -108,7 +108,7 @@ class TestSolverEquivalenceFuzz:
         SequentialLBMIBSolver(grid_a, struct_a).run(params["steps"])
         k = 2 if any(n % 4 for n in params["dims"]) else params["cube_size"]
         ranks = min(params["threads"], params["dims"][0] // k)
-        solver = HybridCubeLBMIBSolver(
+        solver = DistributedLBMIBSolver(
             grid_b, struct_b, num_ranks=ranks, cube_size=k
         )
         solver.run(params["steps"])

@@ -46,6 +46,37 @@ class TestSimulationWiring:
             assert sim._solver.tracer is telemetry.tracer
         assert {s.tid for s in telemetry.tracer.spans} == {0, 1}
 
+    def test_distributed_layouts_emit_the_same_phases(self):
+        """Slab and cube rank layouts trace one phase vocabulary per rank."""
+        names = {}
+        for solver in ("distributed", "hybrid"):
+            telemetry = Telemetry()
+            config = _config(
+                fluid_shape=(16, 8, 8),
+                solver=solver,
+                cube_size=4,
+                num_threads=2,
+                structure=StructureConfig(
+                    kind="flat_sheet", num_fibers=3, nodes_per_fiber=3
+                ),
+            )
+            with Simulation(config, telemetry=telemetry) as sim:
+                sim.run(1)
+            per_rank = {0: set(), 1: set()}
+            for span in telemetry.tracer.spans:
+                per_rank[span.tid].add(span.name)
+            names[solver] = per_rank
+        assert names["distributed"] == names["hybrid"]
+        assert names["distributed"][0] == names["distributed"][1] == {
+            "fiber_forces_and_spread",
+            "compute_fluid_collision",
+            "stream_fluid_velocity_distribution",
+            "halo_exchange",
+            "update_fluid_velocity",
+            "move_fibers",
+            "copy_fluid_velocity_distribution",
+        }
+
     def test_collect_harvests_cube_solver_statistics(self):
         telemetry = Telemetry()
         config = _config(solver="cube", num_threads=2)

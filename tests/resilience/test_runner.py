@@ -38,6 +38,7 @@ class TestRetryPolicy:
             dict(max_attempts=-1),
             dict(tau_damping=0.0),
             dict(keep_checkpoints=0),
+            dict(tau_damping=float("nan")),
         ],
     )
     def test_rejects_bad_knobs(self, bad, tmp_path):

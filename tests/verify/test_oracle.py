@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import SimulationConfig, StructureConfig
+from repro.config import BoundaryConfig, SimulationConfig, StructureConfig
 from repro.verify import DifferentialOracle, compare_variants
 from repro.verify.oracle import variant_config
 
@@ -38,6 +38,60 @@ class TestAgreement:
             _base_config(), "cube", "async_cube", num_steps=3, state_seed=5
         )
         assert divergence is None
+
+
+#: Both x faces (owned by the first and last rank) plus a y wall pair.
+_WALLS = (
+    BoundaryConfig("bounce_back", "x", "low", wall_velocity=(0.02, 0.0, 0.0)),
+    BoundaryConfig("outflow", "x", "high"),
+    BoundaryConfig("bounce_back", "y", "low"),
+    BoundaryConfig("bounce_back", "y", "high"),
+)
+_NO_SHEET = StructureConfig(kind="none")
+_FORCE = (2e-5, 0.0, 0.0)
+
+
+def _exact(config, variant_a, variant_b):
+    return compare_variants(
+        config, variant_a, variant_b, num_steps=3, rtol=0.0, atol=0.0, state_seed=5
+    )
+
+
+class TestBitwiseAgreement:
+    """Zero-tolerance contracts of the two message-passing layouts.
+
+    Without a sheet each rank runs the sequential arithmetic on its own
+    planes, so both layouts match ``sequential`` bit for bit.  With a
+    sheet the allreduce sums per-rank partial interpolations in another
+    order than the sequential sum, so only the two layouts (at the same
+    rank split) agree exactly with each other.
+    """
+
+    CASES = {
+        "bgk": {},
+        "trt": {"collision_operator": "trt"},
+        "force": {"external_force": _FORCE},
+    }
+
+    @pytest.mark.parametrize("variant", ["distributed", "hybrid"])
+    @pytest.mark.parametrize("case", [*CASES, "walls"])
+    def test_fluid_only_matches_sequential(self, variant, case):
+        extra = {"boundaries": _WALLS} if case == "walls" else self.CASES[case]
+        config = _base_config(fluid_shape=(16, 8, 8), structure=_NO_SHEET, **extra)
+        assert _exact(config, "sequential", variant) is None
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_layouts_agree_with_sheet(self, case):
+        config = _base_config(fluid_shape=(16, 8, 8), **self.CASES[case])
+        assert _exact(config, "distributed", "hybrid") is None
+
+    @pytest.mark.parametrize("variant", ["distributed", "hybrid"])
+    def test_uneven_split_matches_sequential(self, variant):
+        """16 planes over 3 ranks: 6/5/5 planes, or 2/1/1 rows of 4-cubes."""
+        config = _base_config(
+            fluid_shape=(16, 8, 8), num_threads=3, structure=_NO_SHEET
+        )
+        assert _exact(config, "sequential", variant) is None
 
 
 class TestDivergenceDetection:
