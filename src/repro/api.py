@@ -24,9 +24,9 @@ import numpy as np
 from repro.config import BoundaryConfig, SimulationConfig, StructureConfig
 from repro.core.lbm import analysis
 from repro.core.lbm.fields import FluidGrid
-from repro.core.solver import SequentialLBMIBSolver
 from repro.constants import viscosity_from_tau
 from repro.errors import ConfigurationError
+from repro.variants import SINGLE_LATTICE, variant
 
 __all__ = [
     "Simulation",
@@ -109,13 +109,18 @@ class Simulation:
             self._built_structure = config.build_structure()
         else:
             self._built_structure = initial_structure
-        self._delta = config.build_delta()
-        self._boundaries = config.build_boundaries()
+        self._common = dict(  # constructor arguments every variant shares
+            delta=config.build_delta(),
+            boundaries=config.build_boundaries(),
+            dt=config.dt,
+            external_force=config.external_force,
+        )
+        self._spec = variant(config.solver)
         self._fluid = FluidGrid(
             config.fluid_shape,
             tau=config.effective_tau,
             collision_operator=config.collision_operator,
-            single_lattice=config.solver == "inplace",
+            single_lattice=self._spec.layout is SINGLE_LATTICE,
             precision=config.precision,
         )
         if initial_fluid is not None:
@@ -131,7 +136,7 @@ class Simulation:
             # is exactly the sequential post-step state.
             restored_phase = int(getattr(initial_fluid, "aa_phase", 0))
             src_df = initial_fluid.df
-            if restored_phase and config.solver != "inplace":
+            if restored_phase and not self._fluid.single_lattice:
                 from repro.core.lbm.sweep import aa_decode
 
                 src_df = aa_decode(initial_fluid.df)
@@ -153,102 +158,13 @@ class Simulation:
                         self._fluid.df_new[...] = src_new
                     continue
                 getattr(self._fluid, name)[...] = getattr(initial_fluid, name)
-            if config.solver == "inplace":
+            if self._fluid.single_lattice:
                 self._fluid.aa_phase = restored_phase
         self._initial_step = int(initial_step)
-        self._cubes = None
-        self._distributed = None
-        self._batch = None
-
-        if config.solver in ("sequential", "fused", "inplace"):
-            # fused and inplace are one pipeline; its lattice scheme
-            # follows the grid built above.
-            from repro.core.pipeline import PipelineLBMIBSolver
-
-            solver_cls = (
-                SequentialLBMIBSolver
-                if config.solver == "sequential"
-                else PipelineLBMIBSolver
-            )
-            self._solver = solver_cls(
-                self._fluid,
-                self._built_structure,
-                delta=self._delta,
-                boundaries=self._boundaries,
-                dt=config.dt,
-                external_force=config.external_force,
-                fault_hook=self._hook_for(self._fluid),
-            )
-        elif config.solver == "batched":
-            from repro.batch import BatchedFluidGrid, BatchedLBMIBSolver
-
-            # A single Simulation runs as a batch of one; the state
-            # lives in the batched layout and is reached through a live
-            # slot view (df/df_new track the batched buffer swap).
-            self._batch = BatchedFluidGrid(
-                config.fluid_shape,
-                1,
-                tau=config.effective_tau,
-                collision_operator=config.collision_operator,
-                precision=config.precision,
-            )
-            solver = BatchedLBMIBSolver(
-                self._batch,
-                delta=self._delta,
-                boundaries=self._boundaries,
-                dt=config.dt,
-                external_force=config.external_force,
-            )
-            solver.load_slot(0, self._fluid, self._built_structure)
-            solver.fault_hook = self._hook_for(self._batch.view(0))
-            self._solver = solver
-        elif config.solver == "openmp":
-            from repro.parallel.openmp_solver import OpenMPLBMIBSolver
-
-            self._solver = OpenMPLBMIBSolver(
-                self._fluid,
-                self._built_structure,
-                num_threads=config.num_threads,
-                delta=self._delta,
-                boundaries=self._boundaries,
-                fiber_method=config.fiber_method,
-                dt=config.dt,
-                external_force=config.external_force,
-                fault_hook=self._hook_for(self._fluid),
-                barrier_timeout=config.barrier_timeout,
-            )
-        elif config.solver in ("cube", "async_cube"):
-            from repro.parallel.async_cube_solver import AsyncCubeLBMIBSolver
-            from repro.parallel.cube_solver import CubeLBMIBSolver
-            from repro.parallel.cubes import CubeGrid
-
-            self._cubes = CubeGrid.from_fluid_grid(self._fluid, config.cube_size)
-            solver_cls = (
-                CubeLBMIBSolver if config.solver == "cube" else AsyncCubeLBMIBSolver
-            )
-            self._solver = solver_cls(
-                self._cubes,
-                self._built_structure,
-                num_threads=config.num_threads,
-                cube_method=config.cube_method,
-                fiber_method=config.fiber_method,
-                delta=self._delta,
-                boundaries=self._boundaries,
-                dt=config.dt,
-                external_force=config.external_force,
-                fault_hook=self._hook_for(self._cubes),
-                barrier_timeout=config.barrier_timeout,
-            )
-        elif config.solver in ("distributed", "hybrid"):
-            # Construction is deferred to the first run(): the distributed
-            # solvers replicate the structure per rank at build time, so
-            # building lazily lets callers adjust initial conditions
-            # through ``sim.structure`` / ``sim.fluid`` first.
-            self._solver = None
-        else:  # pragma: no cover - config validation rejects this earlier
-            raise ConfigurationError(f"unknown solver {config.solver!r}")
-        if self._solver is not None:
-            self._solver.time_step = self._initial_step
+        # The solver and its state handle; None until built.
+        self._solver = self._state = None
+        if not self._spec.layout.lazy:
+            self._ensure_solver()
         if invariants is not None:
             self.attach_invariants(invariants)
         if telemetry is not None:
@@ -295,14 +211,8 @@ class Simulation:
         if self._telemetry is not None:
             suite.metrics = self._telemetry.metrics
         if self._solver is not None and hasattr(self._solver, "fault_hook"):
-            if self._cubes is not None:
-                state = self._cubes
-            elif self._batch is not None:
-                state = self._batch.view(0)
-            else:
-                state = self._fluid
             self._solver.fault_hook = self._chain_hooks(
-                self._solver.fault_hook, suite.sentinel_hook(state)
+                self._solver.fault_hook, suite.sentinel_hook(self._state)
             )
 
     @property
@@ -338,29 +248,11 @@ class Simulation:
     # driving
     # ------------------------------------------------------------------
     def _ensure_solver(self):
-        if self._solver is not None:
-            return self._solver
-        config = self.config
-        from repro.distributed.solver import DistributedLBMIBSolver
-
-        self._solver = DistributedLBMIBSolver(
-            self._fluid,
-            self._built_structure,
-            num_ranks=config.num_threads,
-            cube_size=config.cube_size if config.solver == "hybrid" else None,
-            delta=self._delta,
-            boundaries=self._boundaries,
-            dt=config.dt,
-            external_force=config.external_force,
-        )
-        self._solver.time_step = self._initial_step
-        if self.fault_injector is not None:
-            self._solver.comm.fault_injector = self.fault_injector
-        if config.barrier_timeout is not None:
-            self._solver.comm.timeout = config.barrier_timeout
-        if self._telemetry is not None:
-            self._solver.tracer = self._telemetry.tracer
-        self._distributed = self._solver
+        if self._solver is None:
+            self._solver, self._state = self._spec.build(self)
+            self._solver.time_step = self._initial_step
+            if self._telemetry is not None:
+                self._solver.tracer = self._telemetry.tracer
         return self._solver
 
     def run(self, num_steps: int) -> None:
@@ -451,32 +343,17 @@ class Simulation:
     # ------------------------------------------------------------------
     @property
     def fluid(self) -> FluidGrid:
-        """The fluid state in the global layout.
-
-        For the cube-layout and distributed solvers this *gathers* the
-        partitioned state into a fresh :class:`FluidGrid` (a copy); for
-        the batched solver it is a live slot view; for the other
-        solvers it is the live grid.
+        """The fluid state in the global layout: the live grid (a live
+        slot view for the batched solver), or a gathered copy for the
+        cube, rank-slab and mid-AA-cycle in-place layouts.
         """
-        if self._distributed is not None:
-            return self._distributed.gather_fluid()
-        if self._cubes is not None:
-            return self._cubes.to_fluid_grid()
-        if self._batch is not None:
-            return self._batch.view(0)
-        if self._fluid.single_lattice:
-            from repro.core.lbm.sweep import decoded_fluid
-
-            # Live grid at phase 0 (the single lattice is natural); a
-            # decoded two-lattice copy mid AA-cycle.
-            return decoded_fluid(self._fluid)
-        return self._fluid
+        if self._solver is None:
+            return self._fluid
+        return self._spec.layout.gather(self._state)
 
     @property
     def structure(self):
         """The immersed structure (rank 0's replica for distributed runs)."""
-        if self._distributed is not None:
-            return self._distributed.structure
         return self._built_structure
 
     @property

@@ -14,6 +14,7 @@ from typing import Literal
 
 from repro.constants import DT, tau_from_viscosity
 from repro.errors import ConfigurationError
+from repro.variants import variant
 
 __all__ = [
     "StructureConfig",
@@ -144,18 +145,10 @@ class SimulationConfig:
     boundaries:
         Face boundary conditions (unlisted faces stay periodic).
     solver:
-        ``"sequential"``, ``"openmp"``, ``"cube"`` (the paper's three
-        programs), ``"fused"`` (single-core memory-aware fused kernels
-        with a zero-allocation hot path), ``"inplace"`` (single-lattice
-        AA-pattern streaming: the fused kernels without ``df_new``,
-        halving the lattice footprint), ``"async_cube"``
-        (task-scheduled, barrier-free), ``"distributed"``
-        (message-passing rank slabs), ``"hybrid"`` (``"distributed"``
-        with every rank slab stored in the cube layout of
-        ``cube_size``), or ``"batched"``
-        (the fused kernels over a leading batch axis; a single
-        simulation runs as a batch of one, many compatible ones run
-        through :class:`repro.batch.scheduler.BatchScheduler`).
+        A name in :data:`repro.variants.VARIANTS`, which lists each
+        variant's layout, thread clamp and supported precisions;
+        ``"sequential"``, ``"openmp"`` and ``"cube"`` are the paper's
+        three programs.
     num_threads:
         Team size for the parallel solvers (rank count for the
         distributed variants).
@@ -177,7 +170,8 @@ class SimulationConfig:
         storage and arithmetic, roughly half the memory traffic), or
         ``"mixed"`` (float32 field storage with float64 accumulation in
         the collision moments and IB transfer reductions).  See
-        :mod:`repro.core.backend`.
+        :mod:`repro.core.backend`.  A variant that does not list the
+        policy in :data:`repro.variants.VARIANTS` refuses it.
     dt:
         Time step (1 in lattice units).
     barrier_timeout:
@@ -195,17 +189,7 @@ class SimulationConfig:
     viscosity: float | None = None
     structure: StructureConfig = field(default_factory=StructureConfig)
     boundaries: tuple[BoundaryConfig, ...] = ()
-    solver: Literal[
-        "sequential",
-        "fused",
-        "inplace",
-        "batched",
-        "openmp",
-        "cube",
-        "async_cube",
-        "distributed",
-        "hybrid",
-    ] = "sequential"
+    solver: str = "sequential"
     num_threads: int = 1
     cube_size: int = 4
     cube_method: str = "block"
@@ -226,23 +210,12 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"fluid_shape must be three positive ints, got {self.fluid_shape}"
             )
-        if self.solver not in (
-            "sequential",
-            "fused",
-            "inplace",
-            "batched",
-            "openmp",
-            "cube",
-            "async_cube",
-            "distributed",
-            "hybrid",
-        ):
-            raise ConfigurationError(f"unknown solver {self.solver!r}")
+        spec = variant(self.solver)
         if self.num_threads < 1:
             raise ConfigurationError(
                 f"num_threads must be positive, got {self.num_threads}"
             )
-        if self.solver in ("cube", "async_cube", "hybrid"):
+        if spec.cube_blocked:
             for n in self.fluid_shape:
                 if n % self.cube_size:
                     raise ConfigurationError(
@@ -257,6 +230,7 @@ class SimulationConfig:
             )
         if self.precision not in ("float64", "float32", "mixed"):
             raise ConfigurationError(f"unknown precision {self.precision!r}")
+        variant(self.solver, self.precision)
         seen = set()
         for bc in self.boundaries:
             key = (bc.resolved_axis(), bc.side)
@@ -285,7 +259,7 @@ class SimulationConfig:
         from repro.machine.cache_sim import record_bytes
 
         nx, ny, nz = self.fluid_shape
-        values = 29 if self.solver == "inplace" else 48
+        values = variant(self.solver).layout.values_per_node
         fluid = nx * ny * nz * record_bytes(values, self.precision)
         sc = self.structure
         if sc.kind == "none":

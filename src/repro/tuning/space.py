@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
+from repro.variants import BATCH_SLOT, VARIANTS, variant
 
 __all__ = [
     "ORACLE_SAFE_VARIANTS",
-    "DEFAULT_VARIANTS",
     "TuningCandidate",
     "TuningWorkload",
     "allowed_precisions",
@@ -31,13 +31,8 @@ __all__ = [
 
 #: Variants the verification suite pins equivalent to ``sequential``
 #: (solo variants bit-identical at float64; batched slots additionally
-#: composition-independent).  The tuner refuses anything else.
-ORACLE_SAFE_VARIANTS = ("sequential", "fused", "inplace", "batched", "cube")
-
-#: Variants searched when the caller does not restrict the set.  The
-#: cube variant joins automatically when the grid admits a usable edge
-#: (see :func:`candidate_space`).
-DEFAULT_VARIANTS = ("sequential", "fused", "inplace", "batched")
+#: composition-independent).  The tuner searches these, refuses others.
+ORACLE_SAFE_VARIANTS = tuple(spec.name for spec in VARIANTS if spec.oracle_safe)
 
 #: Cube candidates below this edge drown in per-cube Python dispatch;
 #: above this cube count the dispatch loop dominates the step outright.
@@ -151,17 +146,14 @@ class TuningCandidate:
     batch_width: int = 1
 
     def __post_init__(self) -> None:
-        if self.variant not in ORACLE_SAFE_VARIANTS:
-            raise ConfigurationError(
-                f"variant {self.variant!r} is not oracle-verified; tunable "
-                f"variants are {ORACLE_SAFE_VARIANTS}"
-            )
+        _check_oracle_safe(self.variant)
+        spec = variant(self.variant, self.precision)
         if self.scatter not in ("auto", "bincount", "add_at"):
             raise ConfigurationError(
                 f"unknown scatter method {self.scatter!r}; expected "
                 "'auto', 'bincount' or 'add_at'"
             )
-        if self.variant == "cube" and self.cube_size < 1:
+        if spec.cube_blocked and self.cube_size < 1:
             raise ConfigurationError("cube candidates need a positive cube_size")
         if self.batch_width < 1:
             raise ConfigurationError(
@@ -170,12 +162,13 @@ class TuningCandidate:
 
     def label(self) -> str:
         """Compact display / cache label, e.g. ``fused/float32/add_at``."""
-        variant = self.variant
-        if self.variant == "cube":
-            variant = f"cube[k={self.cube_size}]"
-        elif self.variant == "batched" and self.batch_width > 1:
-            variant = f"batched[w={self.batch_width}]"
-        return f"{variant}/{self.precision}/{self.scatter}"
+        name = self.variant
+        spec = variant(name)
+        if spec.cube_blocked:
+            name = f"{name}[k={self.cube_size}]"
+        elif spec.layout is BATCH_SLOT and self.batch_width > 1:
+            name = f"{name}[w={self.batch_width}]"
+        return f"{name}/{self.precision}/{self.scatter}"
 
     def to_config(self, base: SimulationConfig) -> SimulationConfig:
         """``base`` re-pointed at this candidate's variant and precision.
@@ -183,11 +176,12 @@ class TuningCandidate:
         The physics (grid, tau, structure, boundaries, operator) is
         untouched — a tuned config answers the same question.
         """
+        cube_blocked = variant(self.variant).cube_blocked
         return replace(
             base,
             solver=self.variant,
             precision=self.precision,
-            cube_size=self.cube_size if self.variant == "cube" else base.cube_size,
+            cube_size=self.cube_size if cube_blocked else base.cube_size,
             num_threads=1,
         )
 
@@ -210,6 +204,14 @@ class TuningCandidate:
             scatter=str(data.get("scatter", "auto")),
             cube_size=int(data.get("cube_size", 0)),
             batch_width=int(data.get("batch_width", 1)),
+        )
+
+
+def _check_oracle_safe(name: str) -> None:
+    if name not in ORACLE_SAFE_VARIANTS:
+        raise ConfigurationError(
+            f"variant {name!r} is not oracle-verified; tunable "
+            f"variants are {ORACLE_SAFE_VARIANTS}"
         )
 
 
@@ -241,18 +243,9 @@ def candidate_space(
     for a solo workload, where it still amortises nothing but stays an
     honest candidate).
     """
-    if variants is None:
-        chosen = list(DEFAULT_VARIANTS)
-        if _cube_edges(workload.fluid_shape):
-            chosen.append("cube")
-    else:
-        chosen = list(variants)
-        for v in chosen:
-            if v not in ORACLE_SAFE_VARIANTS:
-                raise ConfigurationError(
-                    f"variant {v!r} is not oracle-verified; tunable "
-                    f"variants are {ORACLE_SAFE_VARIANTS}"
-                )
+    chosen = list(ORACLE_SAFE_VARIANTS if variants is None else variants)
+    for name in chosen:
+        _check_oracle_safe(name)
     if scatter_methods is None:
         scatter_methods = (
             ("add_at", "bincount") if workload.fiber_nodes else ("auto",)
@@ -260,18 +253,18 @@ def candidate_space(
     precisions = allowed_precisions(workload.precision)
 
     out: list[TuningCandidate] = []
-    for variant in chosen:
-        if variant == "cube":
-            edges = _cube_edges(workload.fluid_shape)
-        else:
-            edges = [0]
-        width = workload.batch_size if variant == "batched" else 1
+    for name in chosen:
+        spec = variant(name)
+        edges = _cube_edges(workload.fluid_shape) if spec.cube_blocked else [0]
+        width = workload.batch_size if spec.layout is BATCH_SLOT else 1
         for edge in edges:
             for precision in precisions:
+                if precision not in spec.precisions:
+                    continue
                 for scatter in scatter_methods:
                     out.append(
                         TuningCandidate(
-                            variant=variant,
+                            variant=name,
                             precision=precision,
                             scatter=scatter,
                             cube_size=edge,

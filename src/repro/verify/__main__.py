@@ -22,23 +22,14 @@ import argparse
 import sys
 from dataclasses import replace
 
+from repro.variants import REFERENCE, VARIANTS as TABLE
 from repro.verify.generate import generate_cases, shrink_case
 from repro.verify.golden import check_baselines, write_baselines
 from repro.verify.oracle import DifferentialOracle, compare_variants
 
-#: Variants checked against the sequential reference: the fused
-#: single-core fast path, its single-lattice in-place (AA-pattern)
-#: form, its batched form, and every parallel schedule.
-VARIANTS = (
-    "fused",
-    "inplace",
-    "batched",
-    "openmp",
-    "cube",
-    "async_cube",
-    "distributed",
-    "hybrid",
-)
+#: Variants checked against the sequential reference: every other
+#: entry of :data:`repro.variants.VARIANTS`.
+VARIANTS = tuple(spec.name for spec in TABLE if spec.name != REFERENCE)
 
 
 def _run_golden(regen: bool, golden_dir: str | None) -> int:

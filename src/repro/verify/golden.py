@@ -27,6 +27,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.api import Simulation
+from repro.variants import REFERENCE, VARIANTS, variant
 from repro.verify.generate import VerifyCase
 
 __all__ = [
@@ -92,10 +93,9 @@ GOLDEN_CASES: dict[str, VerifyCase] = {
 #: per variant (``fluid_decay_bgk.json`` for the sequential reference,
 #: ``fluid_decay_bgk_fused.json`` for the fused fast path, ...).
 GOLDEN_VARIANTS: dict[str, str] = {
-    "": "sequential",
-    "_fused": "fused",
-    "_inplace": "inplace",
-    "_batched": "batched",
+    ("" if spec.name == REFERENCE else f"_{spec.name}"): spec.name
+    for spec in VARIANTS
+    if spec.golden_precisions
 }
 
 #: Reduced-precision policies pinned per variant suffix: each listed
@@ -103,9 +103,9 @@ GOLDEN_VARIANTS: dict[str, str] = {
 #: float64 one, so the float32 and mixed hot paths are held bit-stable
 #: too.  Variants absent here are pinned at float64 only.
 GOLDEN_PRECISIONS: dict[str, tuple[str, ...]] = {
-    "_fused": ("float32", "mixed"),
-    "_inplace": ("float32", "mixed"),
-    "_batched": ("float32", "mixed"),
+    suffix: reduced
+    for suffix, name in GOLDEN_VARIANTS.items()
+    if (reduced := tuple(p for p in variant(name).golden_precisions if p != "float64"))
 }
 
 
@@ -119,12 +119,12 @@ def default_golden_dir() -> str:
 def _run_case(
     case: VerifyCase, solver: str = "sequential", precision: str = "float64"
 ) -> Simulation:
-    from repro.verify.oracle import _seeded_initial_fluid
+    from repro.verify.oracle import seeded_initial_fluid
 
     config = replace(case.config(solver), precision=precision)
     sim = Simulation(
         config,
-        initial_fluid=_seeded_initial_fluid(config, case.state_seed),
+        initial_fluid=seeded_initial_fluid(config, case.state_seed),
     )
     sim.run(case.steps)
     return sim

@@ -22,6 +22,7 @@ from repro.api import Simulation
 from repro.config import SimulationConfig
 from repro.core.backend import oracle_tolerance
 from repro.core.lbm.fields import FluidGrid
+from repro.variants import variant as variant_spec
 
 __all__ = [
     "Divergence",
@@ -33,9 +34,6 @@ __all__ = [
 
 #: Gathered fluid fields diffed after every step, in check order.
 _FLUID_FIELDS = ("df", "density", "velocity", "velocity_shifted", "force")
-
-#: Solver variants with a cube-blocked layout (per-cube localization).
-_CUBE_VARIANTS = ("cube", "async_cube", "hybrid")
 
 
 @dataclass(frozen=True)
@@ -84,21 +82,12 @@ class Divergence:
 def variant_config(config: SimulationConfig, variant: str) -> SimulationConfig:
     """``config`` retargeted at ``variant``, thread count made feasible.
 
-    The cube variants need the thread mesh to fit the cube counts, the
-    distributed variants need at least one x-plane (or cube slab) per
-    rank; the requested ``num_threads`` is clamped accordingly, exactly
-    as a user following the paper's sizing rules would.
+    ``num_threads`` is clamped to the variant's ``threads`` rule in
+    :data:`repro.variants.VARIANTS` (the cube mesh must fit the cube
+    counts, each rank needs an x-plane or cube slab), exactly as a user
+    following the paper's sizing rules would.
     """
-    threads = config.num_threads
-    nx = config.fluid_shape[0]
-    if variant in ("cube", "async_cube"):
-        threads = min(threads, min(n // config.cube_size for n in config.fluid_shape))
-    elif variant == "hybrid":
-        threads = min(threads, nx // config.cube_size)
-    elif variant == "distributed":
-        threads = min(threads, nx)
-    elif variant in ("sequential", "fused", "inplace", "batched"):
-        threads = 1
+    threads = variant_spec(variant).threads(config)
     return replace(config, solver=variant, num_threads=max(1, threads))
 
 
@@ -117,10 +106,6 @@ def seeded_initial_fluid(config: SimulationConfig, seed: int | None) -> FluidGri
             velocity=0.01 * rng.standard_normal((3,) + fluid.shape),
         )
     return fluid
-
-
-#: Backwards-compatible private alias (pre-service name).
-_seeded_initial_fluid = seeded_initial_fluid
 
 
 def _first_field_divergence(
@@ -222,7 +207,7 @@ class DifferentialOracle:
         self.telemetry = telemetry
         self._cube_size: int | None = None
         for cfg in (self.config_a, self.config_b):
-            if cfg.solver in _CUBE_VARIANTS:
+            if variant_spec(cfg.solver).cube_blocked:
                 self._cube_size = cfg.cube_size
                 break
 

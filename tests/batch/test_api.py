@@ -14,7 +14,7 @@ from repro.batch.fields import BatchSlotView
 from repro.config import SimulationConfig, StructureConfig
 from repro.verify import compare_variants
 from repro.verify.golden import GOLDEN_CASES, GOLDEN_VARIANTS, compute_baseline
-from repro.verify.oracle import _seeded_initial_fluid
+from repro.verify.oracle import seeded_initial_fluid
 
 pytestmark = pytest.mark.verify
 
@@ -59,7 +59,7 @@ class TestFacade:
         """Checkpoint at step 2 and resume: bit-identical to the
         uninterrupted batched run at step 4."""
         config = _config()
-        fluid = _seeded_initial_fluid(config, 19)
+        fluid = seeded_initial_fluid(config, 19)
         with Simulation(config, initial_fluid=fluid.copy()) as straight:
             straight.run(4)
             expected = {

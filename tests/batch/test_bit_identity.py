@@ -13,7 +13,7 @@ import pytest
 from repro.api import Simulation
 from repro.batch import BatchedFluidGrid, BatchedLBMIBSolver
 from repro.config import BoundaryConfig, SimulationConfig, StructureConfig
-from repro.verify.oracle import _seeded_initial_fluid
+from repro.verify.oracle import seeded_initial_fluid
 
 pytestmark = pytest.mark.verify
 
@@ -65,7 +65,7 @@ def test_mixed_batch_matches_solo_sequential(operator):
     config = _config(operator=operator)
     steps = 6
     structures = [config.build_structure(), None, config.build_structure()]
-    fluids = [_seeded_initial_fluid(config, seed) for seed in (11, 12, 13)]
+    fluids = [seeded_initial_fluid(config, seed) for seed in (11, 12, 13)]
 
     grid = BatchedFluidGrid(
         config.fluid_shape,
@@ -107,7 +107,7 @@ def test_result_independent_of_batch_composition():
     (with three unrelated neighbours) produces bit-identical state —
     slots never interact."""
     config = _config(operator="bgk")
-    fluid = _seeded_initial_fluid(config, 21)
+    fluid = seeded_initial_fluid(config, 21)
     steps = 5
 
     def run_in_batch(batch, slot):
@@ -124,7 +124,7 @@ def test_result_independent_of_batch_composition():
         for s in range(batch):
             solver.load_slot(
                 s,
-                fluid if s == slot else _seeded_initial_fluid(config, 100 + s),
+                fluid if s == slot else seeded_initial_fluid(config, 100 + s),
                 config.build_structure(),
             )
         solver.run(steps)
@@ -140,8 +140,8 @@ def test_nan_in_one_slot_never_crosses_the_batch_axis():
     """Streaming is per-slot periodic: a diverged (all-NaN) slot leaves
     its neighbours' trajectories bit-identical."""
     config = _config(structure_kind="none")
-    healthy = _seeded_initial_fluid(config, 31)
-    poisoned = _seeded_initial_fluid(config, 32)
+    healthy = seeded_initial_fluid(config, 31)
+    poisoned = seeded_initial_fluid(config, 32)
     poisoned.df[...] = np.nan
     steps = 4
 

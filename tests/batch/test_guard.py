@@ -8,7 +8,7 @@ from repro.core.lbm.fields import FluidGrid
 from repro.errors import ConfigurationError, InvariantError
 from repro.observe import Telemetry
 from repro.resilience.incident import IncidentLog
-from repro.verify.oracle import _seeded_initial_fluid
+from repro.verify.oracle import seeded_initial_fluid
 from repro.config import SimulationConfig
 
 SHAPE = (8, 6, 4)
@@ -17,7 +17,7 @@ TAU = 0.8
 
 def _seeded_fluid(seed: int) -> FluidGrid:
     config = SimulationConfig(fluid_shape=SHAPE, tau=TAU)
-    return _seeded_initial_fluid(config, seed)
+    return seeded_initial_fluid(config, seed)
 
 
 def _guarded_solver(batch: int, guard: SlotGuard) -> BatchedLBMIBSolver:

@@ -8,7 +8,7 @@ from repro.config import BoundaryConfig, SimulationConfig, StructureConfig
 from repro.core.lbm.fields import FluidGrid
 from repro.errors import ConfigurationError
 from repro.observe import Telemetry
-from repro.verify.oracle import _seeded_initial_fluid
+from repro.verify.oracle import seeded_initial_fluid
 
 
 def _config(**overrides):
@@ -200,7 +200,7 @@ class TestDeterminism:
                 config,
                 num_steps=4,
                 job_id="probe",
-                initial_fluid=_seeded_initial_fluid(config, 77),
+                initial_fluid=seeded_initial_fluid(config, 77),
             )
             for i in range(extra_after):
                 scheduler.submit(config, num_steps=6, job_id=f"after{i}")

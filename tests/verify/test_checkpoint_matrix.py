@@ -14,21 +14,12 @@ import pytest
 
 from repro.api import Simulation
 from repro.config import SimulationConfig, StructureConfig
-from repro.verify.oracle import _seeded_initial_fluid, variant_config
+from repro.variants import VARIANTS as SPECS
+from repro.verify.oracle import seeded_initial_fluid, variant_config
 
 pytestmark = [pytest.mark.verify, pytest.mark.slow]
 
-VARIANTS = [
-    "sequential",
-    "fused",
-    "inplace",
-    "batched",
-    "openmp",
-    "cube",
-    "async_cube",
-    "distributed",
-    "hybrid",
-]
+VARIANTS = [spec.name for spec in SPECS]
 
 _FIELDS = ("df", "density", "velocity", "velocity_shifted", "force")
 
@@ -52,7 +43,7 @@ def written_checkpoints(tmp_path_factory):
     for writer in VARIANTS:
         config = _config(writer)
         with Simulation(
-            config, initial_fluid=_seeded_initial_fluid(config, 31)
+            config, initial_fluid=seeded_initial_fluid(config, 31)
         ) as sim:
             sim.run(2)
             path = root / f"{writer}.npz"
@@ -95,7 +86,7 @@ def test_restored_run_continues_identically(written_checkpoints, writer, tmp_pat
     in the restored variant itself (checkpoint is transparent)."""
     config = _config(writer)
     with Simulation(
-        config, initial_fluid=_seeded_initial_fluid(config, 31)
+        config, initial_fluid=seeded_initial_fluid(config, 31)
     ) as straight:
         straight.run(4)
         reference = _snapshot(straight)
@@ -126,7 +117,7 @@ class TestOddPhaseCheckpoint:
         root = tmp_path_factory.mktemp("ckpt_odd")
         config = _config("inplace")
         with Simulation(
-            config, initial_fluid=_seeded_initial_fluid(config, 31)
+            config, initial_fluid=seeded_initial_fluid(config, 31)
         ) as sim:
             sim.run(3)  # odd: the lattice is mid-cycle, aa_phase == 1
             assert sim._fluid.aa_phase == 1
@@ -170,7 +161,7 @@ class TestOddPhaseCheckpoint:
         """3 checkpointed steps + 2 resumed == 5 straight steps, exactly."""
         config = _config("inplace")
         with Simulation(
-            config, initial_fluid=_seeded_initial_fluid(config, 31)
+            config, initial_fluid=seeded_initial_fluid(config, 31)
         ) as straight:
             straight.run(5)
             reference = _snapshot(straight)

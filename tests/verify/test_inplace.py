@@ -30,7 +30,7 @@ from repro.core.lbm.fields import FluidGrid
 from repro.verify import compare_variants
 from repro.verify.generate import generate_cases
 from repro.verify.golden import GOLDEN_CASES, GOLDEN_VARIANTS, compute_baseline
-from repro.verify.oracle import _seeded_initial_fluid, variant_config
+from repro.verify.oracle import seeded_initial_fluid, variant_config
 
 pytestmark = pytest.mark.verify
 
@@ -115,7 +115,7 @@ class TestPhaseParity:
         for variant in ("sequential", "inplace"):
             cfg = variant_config(config, variant)
             with Simulation(
-                cfg, initial_fluid=_seeded_initial_fluid(cfg, 31)
+                cfg, initial_fluid=seeded_initial_fluid(cfg, 31)
             ) as sim:
                 sim.run(steps)
                 if variant == "inplace":

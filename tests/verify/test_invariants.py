@@ -16,7 +16,7 @@ from repro.verify import (
     MassConservation,
     MomentumConsistency,
 )
-from repro.verify.oracle import _seeded_initial_fluid
+from repro.verify.oracle import seeded_initial_fluid
 
 pytestmark = pytest.mark.verify
 
@@ -90,7 +90,7 @@ class TestMomentumConsistency:
         suite = InvariantSuite.default(config)
         sim = Simulation(
             config,
-            initial_fluid=_seeded_initial_fluid(config, 42),
+            initial_fluid=seeded_initial_fluid(config, 42),
             invariants=suite,
         )
         sim.run(8)
@@ -191,7 +191,7 @@ class TestSuiteOnAllVariants:
         suite = InvariantSuite.default(config)
         with Simulation(
             config,
-            initial_fluid=_seeded_initial_fluid(config, 11),
+            initial_fluid=seeded_initial_fluid(config, 11),
             invariants=suite,
         ) as sim:
             sim.run(3)

@@ -12,8 +12,10 @@ checkable parts:
   (float64 accumulation under float32 storage) tracks strictly tighter
   than pure float32.
 * **precision round-trips through checkpoints** — every solver variant
-  can write at one policy and restore under another, with the cast
-  (pure widening/narrowing, no arithmetic) being the only difference.
+  that honours a reduced policy can write at one policy and restore
+  under another, with the cast (pure widening/narrowing, no arithmetic)
+  being the only difference; the float64-only variants restore a
+  float32 checkpoint by exact widening.
 """
 
 import tracemalloc
@@ -35,21 +37,16 @@ from repro.core.backend import (
     state_tolerance,
 )
 from repro.core.lbm.fields import FluidGrid
-from repro.verify.oracle import DifferentialOracle, _seeded_initial_fluid, variant_config
+from repro.errors import ConfigurationError
+from repro.variants import VARIANTS as SPECS
+from repro.variants import supporting
+from repro.verify.oracle import DifferentialOracle, seeded_initial_fluid, variant_config
 
 pytestmark = pytest.mark.verify
 
-VARIANTS = [
-    "sequential",
-    "fused",
-    "inplace",
-    "batched",
-    "openmp",
-    "cube",
-    "async_cube",
-    "distributed",
-    "hybrid",
-]
+VARIANTS = [spec.name for spec in SPECS]
+FLOAT32_VARIANTS = list(supporting("float32"))
+FLOAT64_ONLY_VARIANTS = [v for v in VARIANTS if v not in FLOAT32_VARIANTS]
 
 _FIELDS = ("df", "density", "velocity", "velocity_shifted", "force")
 
@@ -68,7 +65,7 @@ def _config(variant="sequential", precision="float64"):
 
 def _final_state(precision, steps=5, solver="sequential"):
     config = _config(solver, precision)
-    with Simulation(config, initial_fluid=_seeded_initial_fluid(config, 31)) as sim:
+    with Simulation(config, initial_fluid=seeded_initial_fluid(config, 31)) as sim:
         sim.run(steps)
         fluid = sim.fluid
         return {
@@ -148,9 +145,9 @@ def test_mixed_tracks_tighter_than_float32():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("precision", ["float32", "mixed"])
-@pytest.mark.parametrize("variant", ["fused", "inplace", "batched", "cube"])
+@pytest.mark.parametrize("variant", ["fused", "inplace", "batched"])
 def test_cross_variant_oracle_at_reduced_precision(precision, variant):
-    """All variants still agree pairwise when running *at* a reduced
+    """Variants still agree pairwise when running *at* a reduced
     policy — the per-precision oracle tolerances absorb reordered
     single-precision sums, nothing more."""
     oracle = DifferentialOracle(
@@ -158,6 +155,15 @@ def test_cross_variant_oracle_at_reduced_precision(precision, variant):
     )
     divergence = oracle.run(3)
     assert divergence is None, str(divergence)
+
+
+@pytest.mark.parametrize("precision", ["float32", "mixed"])
+@pytest.mark.parametrize("variant", FLOAT64_ONLY_VARIANTS)
+def test_cross_variant_oracle_refuses_float64_only_variant(precision, variant):
+    """A float64-only variant is refused at a reduced policy instead of
+    silently running float64 next to a reduced-precision reference."""
+    with pytest.raises(ConfigurationError, match=", ".join(supporting(precision))):
+        DifferentialOracle(_config(precision=precision), "sequential", variant)
 
 
 def test_tolerance_tables_widen_monotonically():
@@ -190,7 +196,7 @@ def test_invariants_hold_at_float32():
     suite = InvariantSuite.default(config)
     with Simulation(
         config,
-        initial_fluid=_seeded_initial_fluid(config, 31),
+        initial_fluid=seeded_initial_fluid(config, 31),
         invariants=suite,
     ) as sim:
         sim.run(4)
@@ -202,7 +208,8 @@ def test_invariants_hold_at_float32():
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestCrossPrecisionCheckpoints:
-    """Write at one policy, restore under another, for every variant.
+    """Write at one policy, restore under another, for every variant
+    that honours float32; float64-only variants read float32 files.
 
     The restore is a pure dtype cast (widening f32 -> f64 is exact;
     narrowing rounds once), so equality against the writer's snapshot
@@ -213,10 +220,10 @@ class TestCrossPrecisionCheckpoints:
     def float32_checkpoints(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("ckpt_f32")
         paths = {}
-        for writer in VARIANTS:
+        for writer in FLOAT32_VARIANTS:
             config = _config(writer, "float32")
             with Simulation(
-                config, initial_fluid=_seeded_initial_fluid(config, 31)
+                config, initial_fluid=seeded_initial_fluid(config, 31)
             ) as sim:
                 sim.run(2)
                 path = root / f"{writer}.npz"
@@ -231,7 +238,7 @@ class TestCrossPrecisionCheckpoints:
         root = tmp_path_factory.mktemp("ckpt_f64")
         config = _config("sequential", "float64")
         with Simulation(
-            config, initial_fluid=_seeded_initial_fluid(config, 31)
+            config, initial_fluid=seeded_initial_fluid(config, 31)
         ) as sim:
             sim.run(2)
             path = root / "sequential.npz"
@@ -239,7 +246,7 @@ class TestCrossPrecisionCheckpoints:
             fluid = sim.fluid
             return path, {n: np.array(getattr(fluid, n)) for n in _FIELDS}
 
-    @pytest.mark.parametrize("writer", VARIANTS)
+    @pytest.mark.parametrize("writer", FLOAT32_VARIANTS)
     def test_float32_writer_restores_into_float64_reader(
         self, float32_checkpoints, writer
     ):
@@ -254,7 +261,20 @@ class TestCrossPrecisionCheckpoints:
                     err_msg=name,
                 )
 
-    @pytest.mark.parametrize("reader", VARIANTS)
+    @pytest.mark.parametrize("reader", FLOAT64_ONLY_VARIANTS)
+    def test_float32_checkpoint_widens_into_float64_only_reader(
+        self, float32_checkpoints, reader
+    ):
+        path, expected = float32_checkpoints["sequential"]
+        with Simulation.from_checkpoint(path, _config(reader, "float64")) as restored:
+            for name in _FIELDS:
+                got = getattr(restored.fluid, name)
+                assert got.dtype == np.float64, name
+                np.testing.assert_array_equal(
+                    got, expected[name].astype(np.float64), err_msg=name
+                )
+
+    @pytest.mark.parametrize("reader", FLOAT32_VARIANTS)
     def test_float64_writer_restores_into_float32_reader(
         self, float64_checkpoint, reader
     ):
@@ -284,7 +304,7 @@ class TestCrossPrecisionCheckpoints:
         checkpointed + 2 resumed steps == 4 straight steps, exactly."""
         config = _config("fused", "float32")
         with Simulation(
-            config, initial_fluid=_seeded_initial_fluid(config, 31)
+            config, initial_fluid=seeded_initial_fluid(config, 31)
         ) as straight:
             straight.run(4)
             fluid = straight.fluid

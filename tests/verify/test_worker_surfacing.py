@@ -14,7 +14,7 @@ from repro.config import SimulationConfig, StructureConfig
 from repro.errors import InvariantError, WorkerError
 from repro.resilience import Fault, FaultInjector, FaultPlan
 from repro.verify import InvariantSuite
-from repro.verify.oracle import _seeded_initial_fluid
+from repro.verify.oracle import seeded_initial_fluid
 
 pytestmark = pytest.mark.verify
 
@@ -38,7 +38,7 @@ def _corrupting_sim(solver, step=2, field="df"):
     sim = Simulation(
         config,
         fault_injector=FaultInjector(plan),
-        initial_fluid=_seeded_initial_fluid(config, 13),
+        initial_fluid=seeded_initial_fluid(config, 13),
         invariants=InvariantSuite.default(config),
     )
     return sim
@@ -84,7 +84,7 @@ class TestContrast:
         with Simulation(
             config,
             fault_injector=FaultInjector(plan),
-            initial_fluid=_seeded_initial_fluid(config, 13),
+            initial_fluid=seeded_initial_fluid(config, 13),
         ) as sim:
             sim.run(2)  # corrupting step completes without an exception
 
@@ -95,7 +95,7 @@ class TestContrast:
         with Simulation(
             config,
             fault_injector=FaultInjector(plan),
-            initial_fluid=_seeded_initial_fluid(config, 13),
+            initial_fluid=seeded_initial_fluid(config, 13),
         ) as sim:
             with pytest.raises(WorkerError):
                 sim.run(4)
